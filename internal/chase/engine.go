@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,13 +82,6 @@ type Options struct {
 	// compiled into the rule. Candidates are still admitted in canonical
 	// order, so output is byte-identical with the planner on or off.
 	DisablePlanner bool
-	// Shards sets how many partitions the admission pre-pass (and every
-	// relation's exact-duplicate table) uses; 0 selects GOMAXPROCS capped
-	// at 8, any value is rounded up to a power of two, and 1 disables the
-	// parallel dedup pre-pass. Like Parallelism it only moves work between
-	// goroutines — candidates merge serially in canonical order, so every
-	// shard count produces a byte-identical final database.
-	Shards int
 }
 
 // Result is the outcome of a reasoning run.
@@ -131,13 +125,6 @@ type Compiled struct {
 	// the body mint nulls while matching (a null-factory write), so their
 	// firings are evaluated inline on the serial admit path instead.
 	parSafe []bool
-	// prepared marks rules eligible for the partitioned admission path:
-	// parallel-safe, plain heads only — no aggregate (supersession must
-	// see serial state), no constraint, no existentials (null minting must
-	// stay in canonical admission order). EGDs disable preparation
-	// program-wide: they mutate the null substitution during admission, so
-	// head values resolved on match workers could go stale by merge time.
-	prepared []bool
 
 	// CSE body sharing (planner enabled only): rules whose positive
 	// bodies are identical under canonical slot renaming form a group per
@@ -219,16 +206,8 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 			}
 		}
 		c.parSafe = append(c.parSafe, safe)
-		c.prepared = append(c.prepared, safe && cr.Agg == nil && r.EGD == nil &&
-			!r.IsConstraint && len(cr.Exists) == 0 && len(cr.Heads) > 0)
 		for pi, a := range cr.Pos {
 			c.byPred[a.Pred] = append(c.byPred[a.Pred], [2]int{i, pi})
-		}
-	}
-	for _, r := range rw.Program.Rules {
-		if r.EGD != nil {
-			clear(c.prepared) // see the prepared field: EGDs disable preparation program-wide
-			break
 		}
 	}
 	if !opts.DisablePlanner {
@@ -346,28 +325,14 @@ type Engine struct {
 	cseSeen    map[cseSeenKey]int
 	shared     int // follower firings served from a shared body log
 
-	// Partitioned admission state. shards is the resolved Options.Shards
-	// (power of two; matches the relations' duplicate-table shard count).
-	// perms[ti] is task ti's canonical admission order, computed serially
-	// at the batch boundary. cands is the batch's flattened candidate
-	// array — one slot per (prepared task, canonical entry, head), in
-	// exactly the order the merge consumes them — with the pre-pass
-	// verdicts and the merge's inserted marks alongside; candStart[ti] is
-	// task ti's first slot (-1 for tasks outside the prepared path).
-	shards       int
-	perms        [][]int32
-	cands        []storage.PrepassCand
-	candVerdict  []uint8
-	candDupOf    []int32
-	candInserted []bool
-	candStart    []int
+	// perms[ti] is task ti's canonical admission order (CSE followers use
+	// their leader's).
+	perms [][]int32
 
 	// Wall-time split across the batch phases, for the -phases CLI report
-	// and the scaling benchmarks: parallel match, dedup pre-pass, serial
-	// admission/merge.
-	phaseMatch   time.Duration
-	phasePrepass time.Duration
-	phaseAdmit   time.Duration
+	// and the scaling benchmarks: parallel match and serial admission.
+	phaseMatch time.Duration
+	phaseAdmit time.Duration
 
 	// groupBuf/contribBuf/headsBuf/parentsBuf are reused across emissions
 	// so emit allocates no per-match container slices (AggState keys copy
@@ -437,16 +402,6 @@ func (c *Compiled) NewEngine() *Engine {
 	if e.nworkers <= 0 {
 		e.nworkers = runtime.GOMAXPROCS(0)
 	}
-	e.shards = c.opts.Shards
-	if e.shards <= 0 {
-		e.shards = runtime.GOMAXPROCS(0)
-		if e.shards > 8 {
-			e.shards = 8
-		}
-	}
-	e.db.SetShards(e.shards)
-	e.shards = e.db.Shards() // rounded to a power of two
-	e.meter.SetShards(e.shards)
 	e.mt = &eval.Matcher{DB: e.db}
 	if !c.opts.DisablePlanner {
 		e.pl = planner.New(planner.FrozenCatalog{DB: e.db})
@@ -711,14 +666,6 @@ func (e *Engine) step(ctx context.Context) (err error) {
 		requeue()
 		return fmt.Errorf("%w (batch candidate buffer overflow)", ErrBudget)
 	}
-	// Partitioned admission pre-pass: canonical orders, the flattened
-	// candidate array and the sharded dedup verdicts are all computed here,
-	// between the read-only match phase and the serial merge. A crash in it
-	// (the storage.merge fault seam, a shard-goroutine panic) unwinds
-	// through the recover above with nothing admitted.
-	tPre := time.Now()
-	e.prepassBatch()
-	e.phasePrepass += time.Since(tPre)
 	tAdmit := time.Now()
 	err = e.admitBatch(ctx)
 	e.phaseAdmit += time.Since(tAdmit)
@@ -902,14 +849,6 @@ func (e *Engine) matchTask(w *matchWorker, ti int) {
 	}
 	lg := &e.results[ti]
 	lg.Reset(cr)
-	// Prepared tasks also materialize, intern and hash their head facts
-	// here on the worker — the serial merge then only probes and appends.
-	// The nil substitution is sound because preparation is disabled
-	// program-wide when any EGD exists.
-	prep := t.g < 0 && e.c.prepared[t.ri]
-	if prep {
-		lg.PrepareHeads(cr)
-	}
 	if err := siteMatch.Check(); err != nil {
 		rule := e.c.rules[t.ri].Rule
 		lg.Err = fmt.Errorf("chase: %d:%d: rule %d: %w", rule.Line, rule.Col, rule.ID, err)
@@ -921,9 +860,6 @@ func (e *Engine) matchTask(w *matchWorker, ti int) {
 			return errBatchOverflow
 		}
 		lg.Capture(b)
-		if prep {
-			lg.CaptureHeads(cr, b, nil)
-		}
 		return nil
 	}); err != nil {
 		lg.Err = err
@@ -934,89 +870,6 @@ func (e *Engine) matchTask(w *matchWorker, ti int) {
 // overran the meter's runaway ceiling; step discards the whole batch and
 // surfaces ErrBudget, so this sentinel never escapes the engine.
 var errBatchOverflow = errors.New("chase: batch candidate buffer overflow")
-
-// prepassBatch prepares the batch's serial merge. It runs serially,
-// between the match phase and admission:
-//
-//  1. Every log-owning task's canonical admission order is computed into
-//     perms (followers reuse their leader's).
-//  2. The candidates of prepared tasks are flattened into one array — one
-//     slot per (task, canonical entry, head), in exactly the order
-//     admitBatch consumes them, target relations created here while
-//     mutation is serial. Unprepared entries and arity-drifted heads get
-//     placeholder slots (Rel nil).
-//  3. storage.RunPrepass computes sharded dedup verdicts in parallel.
-//
-// Verdicts only ever skip work the merge would redo identically, so this
-// phase is invisible to the final database for every shard count.
-func (e *Engine) prepassBatch() {
-	if cap(e.perms) < len(e.tasks) {
-		perms := make([][]int32, len(e.tasks))
-		copy(perms, e.perms)
-		e.perms = perms
-	}
-	e.perms = e.perms[:len(e.tasks)]
-	if cap(e.candStart) < len(e.tasks) {
-		e.candStart = make([]int, len(e.tasks))
-	}
-	e.candStart = e.candStart[:len(e.tasks)]
-	e.cands = e.cands[:0]
-	for ti := range e.tasks {
-		t := &e.tasks[ti]
-		e.candStart[ti] = -1
-		if !e.c.parSafe[t.ri] || (t.lead >= 0 && t.lead != ti) {
-			e.perms[ti] = e.perms[ti][:0]
-			continue
-		}
-		lg := &e.results[ti]
-		e.perms[ti] = lg.CanonicalOrder(e.perms[ti])
-		if t.g >= 0 || !e.c.prepared[t.ri] {
-			continue
-		}
-		cr := e.c.rules[t.ri]
-		nh := len(cr.Heads)
-		e.candStart[ti] = len(e.cands)
-		for _, i := range e.perms[ti] {
-			if !lg.EntryPrepared(int(i)) {
-				for hi := 0; hi < nh; hi++ {
-					e.cands = append(e.cands, storage.PrepassCand{})
-				}
-				continue
-			}
-			for hi := 0; hi < nh; hi++ {
-				f, row, h := lg.PreparedHead(int(i), hi)
-				rel := e.db.Rel(f.Pred, len(f.Args))
-				if rel.Arity() != len(row) {
-					// Arity drifted since capture (restride): the merge
-					// admits this head through the classic path.
-					e.cands = append(e.cands, storage.PrepassCand{})
-					continue
-				}
-				e.cands = append(e.cands, storage.PrepassCand{
-					Rel: rel, Row: row, Hash: h, Gen: rel.RetractGen(),
-				})
-			}
-		}
-	}
-	n := len(e.cands)
-	if n == 0 {
-		return
-	}
-	if cap(e.candVerdict) < n {
-		e.candVerdict = make([]uint8, n)
-		e.candDupOf = make([]int32, n)
-		e.candInserted = make([]bool, n)
-	}
-	e.candVerdict = e.candVerdict[:n]
-	e.candDupOf = e.candDupOf[:n]
-	e.candInserted = e.candInserted[:n]
-	for i := range e.candVerdict {
-		e.candVerdict[i] = storage.PrepassUnknown
-		e.candDupOf[i] = -1
-		e.candInserted[i] = false
-	}
-	storage.RunPrepass(e.cands, e.candVerdict, e.candDupOf, e.shards, e.meter)
-}
 
 // admitBatch replays the batch's candidates in canonical (task, match)
 // order through the serial emit path: aggregation state, EGD unification,
@@ -1029,6 +882,7 @@ func (e *Engine) prepassBatch() {
 // captured error surfaces after its captured candidates — deterministic,
 // since the canonical order is.
 func (e *Engine) admitBatch(ctx context.Context) error {
+	e.perms = slices.Grow(e.perms[:0], len(e.tasks))[:len(e.tasks)]
 	for ti := range e.tasks {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -1050,20 +904,16 @@ func (e *Engine) admitBatch(ctx context.Context) error {
 			continue
 		}
 		lg := &e.results[ti]
-		perm := e.perms[ti]
+		var perm []int32
 		if t.lead >= 0 && t.lead != ti {
+			// Follower: the leader, an earlier task, already ordered the
+			// shared log.
 			lg = &e.results[t.lead]
 			perm = e.perms[t.lead]
 			e.shared++
-		}
-		if e.candStart[ti] >= 0 {
-			if err := e.mergeTask(ti, cr, lg, perm); err != nil {
-				return err
-			}
-			if lg.Err != nil {
-				return lg.Err
-			}
-			continue
+		} else {
+			perm = lg.CanonicalOrder(e.perms[ti])
+			e.perms[ti] = perm
 		}
 		b := e.bindings[t.ri]
 		ri := t.ri
@@ -1090,94 +940,6 @@ func (e *Engine) admitBatch(ctx context.Context) error {
 		}
 	}
 	e.firing = nil
-	return nil
-}
-
-// mergeTask admits one prepared task's candidates in canonical order — the
-// serial merge of partitioned admission. Per candidate it consumes the
-// pre-pass verdict: duplicate verdicts skip outright while the relation's
-// retraction generation still matches the candidate's snapshot (a
-// mid-merge retraction by a serial-path task invalidates them); everything
-// else takes an O(1) re-probe against live state, so the decision sequence
-// is exactly the serial engine's. Fresh candidates run the same
-// Derive/CheckTermination/TryCharge pipeline as admit, then append via
-// InsertPrepared — no re-interning, no re-hashing. Entries whose heads did
-// not prepare fall back to the classic Restore+emit path.
-func (e *Engine) mergeTask(ti int, cr *eval.CompiledRule, lg *eval.BindingLog, perm []int32) error {
-	t := &e.tasks[ti]
-	nh := len(cr.Heads)
-	base := e.candStart[ti]
-	shardMask := uint64(e.shards - 1)
-	for k, i := range perm {
-		if !lg.EntryPrepared(int(i)) {
-			b := e.bindings[t.ri]
-			lg.Restore(int(i), e.db.Interner(), b)
-			if err := e.emit(t.ri, cr, b); err != nil {
-				return err
-			}
-			continue
-		}
-		var parents []*core.FactMeta
-		for hi := 0; hi < nh; hi++ {
-			ci := base + k*nh + hi
-			c := &e.cands[ci]
-			if c.Rel == nil {
-				// Arity-drifted head: classic admission of the prepared fact.
-				f, _, _ := lg.PreparedHead(int(i), hi)
-				if parents == nil {
-					parents = lg.ParentsAppend(cr, int(i), e.parentsBuf[:0])
-					e.parentsBuf = parents
-				}
-				if _, err := e.admit(f, cr.Rule.ID, parents); err != nil {
-					return err
-				}
-				continue
-			}
-			if c.Rel.RetractGen() == c.Gen {
-				// Duplicate verdicts are exact for pre-batch state and for
-				// earlier inserted candidates; restride preserves fact
-				// equality, so they stay valid across arity drift too.
-				v := e.candVerdict[ci]
-				if v == storage.PrepassDupStored ||
-					(v == storage.PrepassDupBatch && e.candInserted[e.candDupOf[ci]]) {
-					continue
-				}
-			}
-			if c.Rel.Arity() != len(c.Row) {
-				// The relation restrided mid-merge: the prepared row no
-				// longer matches its stride — admit classically.
-				f, _, _ := lg.PreparedHead(int(i), hi)
-				if parents == nil {
-					parents = lg.ParentsAppend(cr, int(i), e.parentsBuf[:0])
-					e.parentsBuf = parents
-				}
-				if _, err := e.admit(f, cr.Rule.ID, parents); err != nil {
-					return err
-				}
-				continue
-			}
-			if c.Rel.ContainsRowHash(c.Row, c.Hash) {
-				continue
-			}
-			f, _, _ := lg.PreparedHead(int(i), hi)
-			if parents == nil {
-				parents = lg.ParentsAppend(cr, int(i), e.parentsBuf[:0])
-				e.parentsBuf = parents
-			}
-			m := e.strat.Derive(f, cr.Rule.ID, parents)
-			if !e.strat.CheckTermination(m) {
-				continue
-			}
-			if !e.meter.TryCharge() {
-				return fmt.Errorf("%w (%d facts)", ErrBudget, e.meter.Used())
-			}
-			c.Rel.InsertPrepared(m, c.Row, c.Hash)
-			e.candInserted[ci] = true
-			e.meter.NoteShardAdmit(int(c.Hash & shardMask))
-			e.queue = append(e.queue, m)
-			e.insertTagTwin(f)
-		}
-	}
 	return nil
 }
 
@@ -1231,20 +993,15 @@ func (e *Engine) PlannerStats() (derives, replans, sharedFirings int) {
 	return derives, replans, e.shared
 }
 
-// PhaseStats reports cumulative wall time spent in the three phases of the
-// delta-batched loop: parallel match, sharded dedup pre-pass, and serial
-// admission (the merge). The split shows whether a workload is
-// admission-bound — the case partitioned admission targets.
-func (e *Engine) PhaseStats() (match, prepass, admit time.Duration) {
-	return e.phaseMatch, e.phasePrepass, e.phaseAdmit
+// PhaseStats reports cumulative wall time spent in the two phases of the
+// delta-batched loop: parallel match and serial admission. The split shows
+// whether a workload is admission-bound.
+func (e *Engine) PhaseStats() (match, admit time.Duration) {
+	return e.phaseMatch, e.phaseAdmit
 }
 
-// Shards returns the resolved duplicate-table shard count the engine runs
-// with.
-func (e *Engine) Shards() int { return e.shards }
-
-// Meter exposes the engine's derivation meter (per-shard pre-pass
-// statistics, budget usage) for diagnostics and tests.
+// Meter exposes the engine's derivation meter (admission counters, budget
+// usage) for diagnostics and tests.
 func (e *Engine) Meter() *core.Meter { return e.meter }
 
 // fire applies rule ri with its pos-th body atom pinned to delta fact m,
@@ -1410,7 +1167,9 @@ func (e *Engine) noteSuperseded(old ast.Fact) {
 // metadata, nil when the fact was rejected.
 func (e *Engine) admit(f ast.Fact, ruleID int, parents []*core.FactMeta) (*core.FactMeta, error) {
 	rel := e.db.Rel(f.Pred, len(f.Args))
-	if rel.Contains(f) {
+	dup := rel.Contains(f)
+	e.meter.NoteCandidate(dup)
+	if dup {
 		return nil, nil
 	}
 	m := e.strat.Derive(f, ruleID, parents)
@@ -1421,6 +1180,7 @@ func (e *Engine) admit(f ast.Fact, ruleID int, parents []*core.FactMeta) (*core.
 		return nil, fmt.Errorf("%w (%d facts)", ErrBudget, e.meter.Used())
 	}
 	rel.Insert(m)
+	e.meter.NoteAdmit()
 	e.queue = append(e.queue, m)
 	e.insertTagTwin(f)
 	return m, nil

@@ -57,9 +57,9 @@ func runParallel(t *testing.T, src string, facts []ast.Fact, workers int) *Resul
 }
 
 // parallelScenarios mirrors the examples/ scenarios (plus a rule-heavy
-// iWarded instance): every workload class the repository ships — plain
-// recursion, existentials, harmful joins, monotonic aggregation over
-// floats and sets, EGD-free ontologies.
+// iWarded instance and an EGD program): every workload class the
+// repository ships — plain recursion, existentials, harmful joins,
+// monotonic aggregation over floats and sets, EGD null unification.
 func parallelScenarios(t *testing.T) []struct {
 	name  string
 	src   string
@@ -79,6 +79,16 @@ func parallelScenarios(t *testing.T) []struct {
 		ast.NewFact("company", term.String("subco")),
 		ast.NewFact("control", term.String("acme"), term.String("subco")),
 		ast.NewFact("keyPerson", term.String("ada"), term.String("acme")),
+	}
+	egd := `
+		person(X) -> hasID(X, I).
+		hasID(X, I1), hasID(X, I2) -> I1 = I2.
+		hasID(X, I) -> idOf(X, I).
+		@output("idOf").
+	`
+	var egdFacts []ast.Fact
+	for i := 0; i < 40; i++ {
+		egdFacts = append(egdFacts, ast.NewFact("person", term.String(fmt.Sprintf("p%02d", i))))
 	}
 	cfg, ok := iwarded.Scenario("synthA")
 	if !ok {
@@ -100,6 +110,7 @@ func parallelScenarios(t *testing.T) []struct {
 		{"allpsc", dbpedia.AllPSCProgram, persons.All()},
 		{"stronglinks", dbpedia.StrongLinksProgram(3), persons.All()},
 		{"iwarded-synthA", g.Source, g.Facts},
+		{"egd", egd, egdFacts},
 	}
 }
 
@@ -119,6 +130,37 @@ func TestParallelByteDeterminism(t *testing.T) {
 				if got != base {
 					t.Errorf("workers=%d diverges from workers=1 (%d vs %d bytes)",
 						workers, len(got), len(base))
+				}
+			}
+		})
+	}
+}
+
+// TestShardMatrixByteDeterminism is the acceptance property of the single
+// serial admission path: for every scenario, every worker count × planner
+// setting produces a final database byte-identical to the serial
+// planner-off run — same facts, same admission order, same null
+// identities, same derivation count. (The matrix used to cross worker
+// counts with duplicate-table shard counts; with one duplicate table per
+// relation, the planner is the remaining axis that reorders candidates
+// before admission. The name is kept.)
+func TestShardMatrixByteDeterminism(t *testing.T) {
+	for _, sc := range parallelScenarios(t) {
+		t.Run(sc.name, func(t *testing.T) {
+			base := dbBytes(runWithOpts(t, sc.src, sc.facts, Options{Parallelism: 1, DisablePlanner: true}))
+			if len(base) < 40 {
+				t.Fatalf("vacuous database: %q", base)
+			}
+			for _, workers := range []int{1, 2, 4, 8} {
+				for _, planner := range []bool{true, false} {
+					if workers == 1 && !planner {
+						continue
+					}
+					opts := Options{Parallelism: workers, DisablePlanner: !planner}
+					if got := dbBytes(runWithOpts(t, sc.src, sc.facts, opts)); got != base {
+						t.Errorf("workers=%d planner=%v diverges from serial planner-off (%d vs %d bytes)",
+							workers, planner, len(got), len(base))
+					}
 				}
 			}
 		})
@@ -340,5 +382,86 @@ func TestCancelResumeLosesNoDeltas(t *testing.T) {
 			t.Errorf("after=%d: resumed run lost derivations (%d vs %d bytes)",
 				after, len(got), len(want))
 		}
+	}
+}
+
+// TestShardCancelResumeDeterminism: a run cancelled mid-batch and resumed
+// must converge to the same bytes whatever the worker count and planner
+// setting — the requeue boundary may not interact with the parallel match
+// phase or the join order, since every candidate still reaches the one
+// serial admission path in canonical order. (Before that path became the
+// only one, the same property was checked across duplicate-table shard
+// counts; the name is kept.)
+func TestShardCancelResumeDeterminism(t *testing.T) {
+	ownership := graphs.ScaleFree(100, graphs.PaperParams(), 5)
+	prog := parser.MustParse(graphs.ControlProgram)
+	want := sortedGround(runParallel(t, graphs.ControlProgram, ownership.OwnFacts(), 1), "control")
+	if want == "" {
+		t.Fatal("vacuous scenario")
+	}
+	for _, after := range []int64{1, 3, 25} {
+		var base string
+		for _, opts := range []Options{
+			{Parallelism: 1},
+			{Parallelism: 2},
+			{Parallelism: 4},
+			{Parallelism: 4, DisablePlanner: true},
+		} {
+			c, err := Compile(prog, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := c.NewEngine()
+			_, err = e.Run(&stepCtx{Context: context.Background(), after: after}, ownership.OwnFacts())
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("after=%d %+v: want cancellation, got %v", after, opts, err)
+			}
+			res, err := e.Run(context.Background(), nil)
+			if err != nil {
+				t.Fatalf("after=%d %+v: resume: %v", after, opts, err)
+			}
+			if got := sortedGround(res, "control"); got != want {
+				t.Errorf("after=%d %+v: resumed run lost derivations", after, opts)
+			}
+			if got := dbBytes(res); base == "" {
+				base = got
+			} else if got != base {
+				t.Errorf("after=%d workers=%d planner-off=%v: resumed database diverges from workers=1 (%d vs %d bytes)",
+					after, opts.Parallelism, opts.DisablePlanner, len(got), len(base))
+			}
+		}
+	}
+}
+
+// TestShardPhaseStats: the engine accounts wall time to the match and
+// admit phases, and the meter's admission counters (reported through
+// ShardStats as one-element slices) are consistent with the run.
+func TestShardPhaseStats(t *testing.T) {
+	ownership := graphs.ScaleFree(1200, graphs.PaperParams(), 2)
+	prog := parser.MustParse(graphs.ControlProgram)
+	c, err := Compile(prog, Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := c.NewEngine()
+	if _, err := e.Run(context.Background(), ownership.OwnFacts()); err != nil {
+		t.Fatal(err)
+	}
+	match, admit := e.PhaseStats()
+	if match <= 0 || admit <= 0 {
+		t.Errorf("phase stats not accumulated: match=%v admit=%v", match, admit)
+	}
+	cands, dups, admits := e.Meter().ShardStats()
+	if len(cands) != 1 || len(dups) != 1 || len(admits) != 1 {
+		t.Fatalf("want one-element counter slices, got %d/%d/%d", len(cands), len(dups), len(admits))
+	}
+	if admits[0] <= 0 {
+		t.Error("no admissions recorded")
+	}
+	if admits[0] > int64(e.Derivations()) {
+		t.Errorf("admissions %d exceed derivations %d", admits[0], e.Derivations())
+	}
+	if cands[0] < dups[0]+admits[0] {
+		t.Errorf("candidates %d < duplicates %d + admissions %d", cands[0], dups[0], admits[0])
 	}
 }

@@ -27,14 +27,9 @@ type Meter struct {
 	used    atomic.Int64
 	pending atomic.Int64
 
-	// Per-shard accounting of the partitioned admission pre-pass. The
-	// slices are plain ints, not atomics, because the slots are exclusive:
-	// shardCands/shardDups[s] is written only by the pre-pass goroutine
-	// owning shard s, shardAdmits only by the serial merge, and the
-	// pre-pass WaitGroup orders the two phases.
-	shardCands  []int64
-	shardDups   []int64
-	shardAdmits []int64
+	// Admission counters, written only by the engine's serial admit path
+	// (never by match workers), so they need no atomics.
+	cands, dups, admits int64
 }
 
 // NewMeter returns a meter admitting at most limit derivations.
@@ -92,44 +87,21 @@ func (m *Meter) Reserve(n int) bool {
 // ResetPending releases all transient reservations (batch boundary).
 func (m *Meter) ResetPending() { m.pending.Store(0) }
 
-// SetShards sizes the per-shard counters for the partitioned admission
-// pre-pass. Safe only between batches (no pre-pass in flight); existing
-// counts are preserved when the shard count is unchanged.
-func (m *Meter) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if len(m.shardCands) == n {
-		return
-	}
-	m.shardCands = make([]int64, n)
-	m.shardDups = make([]int64, n)
-	m.shardAdmits = make([]int64, n)
-}
-
-// NoteShardScan records that the pre-pass goroutine owning shard
-// inspected cands candidates and found dups duplicates. Called only from
-// that shard's goroutine.
-func (m *Meter) NoteShardScan(shard, cands, dups int) {
-	if shard < len(m.shardCands) {
-		m.shardCands[shard] += int64(cands)
-		m.shardDups[shard] += int64(dups)
+// NoteCandidate records one candidate head fact reaching the serial admit
+// path; dup reports whether the duplicate check rejected it.
+func (m *Meter) NoteCandidate(dup bool) {
+	m.cands++
+	if dup {
+		m.dups++
 	}
 }
 
-// NoteShardAdmit records one admission whose dedup hash belongs to shard.
-// Called only from the serial merge.
-func (m *Meter) NoteShardAdmit(shard int) {
-	if shard < len(m.shardAdmits) {
-		m.shardAdmits[shard]++
-	}
-}
+// NoteAdmit records one fact inserted by the serial admit path.
+func (m *Meter) NoteAdmit() { m.admits++ }
 
-// ShardStats returns copies of the per-shard pre-pass counters:
-// candidates scanned, duplicates detected, and admissions per shard. Nil
-// slices when no pre-pass ever ran.
+// ShardStats returns the serial admit path's counters: candidates that
+// reached it, duplicates it rejected, and facts it inserted, each as a
+// one-element slice (the signature existing callers read).
 func (m *Meter) ShardStats() (cands, dups, admits []int64) {
-	return append([]int64(nil), m.shardCands...),
-		append([]int64(nil), m.shardDups...),
-		append([]int64(nil), m.shardAdmits...)
+	return []int64{m.cands}, []int64{m.dups}, []int64{m.admits}
 }

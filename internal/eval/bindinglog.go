@@ -1,9 +1,8 @@
 package eval
 
 import (
-	"sort"
+	"slices"
 
-	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/term"
@@ -33,21 +32,6 @@ type BindingLog struct {
 	parents []*core.FactMeta
 	rows    []int32 // matched storage rows per entry (stride npos)
 
-	// Prepared-head extension (partitioned admission): when headsN > 0 the
-	// log also carries, per entry, the materialized head facts plus their
-	// interned rows and duplicate-table hashes, all computed on the match
-	// worker against the frozen epoch. headPrep marks entries whose every
-	// head materialized and fully resolved through the interner; entries
-	// where it is false (an unbound head slot, a computed value the
-	// interner has never seen) take the classic Restore+emit path, which
-	// reproduces the exact serial behavior including its errors.
-	headsN    int   // heads per entry (0 = preparation off)
-	headOff   []int // per-head row offsets within an entry (len headsN+1)
-	headFacts []ast.Fact
-	headRows  []uint32
-	headHash  []uint64
-	headPrep  []bool
-
 	// Err is the error that aborted the producing enumeration, if any; the
 	// engine surfaces it after replaying the captured prefix, which is
 	// exactly the order the serial engine would have observed.
@@ -62,7 +46,6 @@ type BindingLog struct {
 func (lg *BindingLog) Reset(cr *CompiledRule) {
 	clear(lg.vals)
 	clear(lg.parents)
-	clear(lg.headFacts)
 	lg.n = 0
 	lg.nslots = cr.NSlots
 	lg.npos = len(cr.Pos)
@@ -70,27 +53,7 @@ func (lg *BindingLog) Reset(cr *CompiledRule) {
 	lg.bound = lg.bound[:0]
 	lg.parents = lg.parents[:0]
 	lg.rows = lg.rows[:0]
-	lg.headsN = 0
-	lg.headFacts = lg.headFacts[:0]
-	lg.headRows = lg.headRows[:0]
-	lg.headHash = lg.headHash[:0]
-	lg.headPrep = lg.headPrep[:0]
 	lg.Err = nil
-}
-
-// PrepareHeads switches the log into prepared-head capture for cr: every
-// subsequent Capture must be followed by a CaptureHeads. Call after Reset,
-// only for rules on the prepared admission path (parallel-safe, no
-// aggregate, no EGD, no existentials, at least one head).
-func (lg *BindingLog) PrepareHeads(cr *CompiledRule) {
-	lg.headsN = len(cr.Heads)
-	lg.headOff = lg.headOff[:0]
-	off := 0
-	for hi := range cr.Heads {
-		lg.headOff = append(lg.headOff, off)
-		off += len(cr.Heads[hi].IsVar)
-	}
-	lg.headOff = append(lg.headOff, off)
 }
 
 // Len returns the number of captured bindings.
@@ -138,121 +101,6 @@ func (lg *BindingLog) Restore(i int, in *storage.Interner, b *Binding) {
 	copy(b.ParentRows, lg.rows[i*lg.npos:(i+1)*lg.npos])
 }
 
-// CaptureHeads materializes the head facts of the binding just Captured,
-// together with their interned rows and duplicate-table hashes — the
-// worker-side half of partitioned admission. It must be called exactly
-// once after each Capture, on the capturing goroutine, against a frozen
-// interner (reads only: IDOf/ValueOf). subst is the EGD null substitution
-// to resolve head values through; engines that cannot guarantee a stable
-// substitution between capture and merge must not prepare such rules at
-// all (the chase disables preparation program-wide when any EGD exists).
-//
-// Preparation never fails: an entry whose heads cannot fully materialize
-// or resolve (unbound head slot, value absent from the interner) is
-// marked unprepared and padded, and the merge falls back to the classic
-// Restore+emit path for it.
-func (lg *BindingLog) CaptureHeads(cr *CompiledRule, b *Binding, subst *NullSubst) {
-	baseF, baseR := len(lg.headFacts), len(lg.headRows)
-	ok := true
-capture:
-	for hi := 0; hi < lg.headsN; hi++ {
-		h := &cr.Heads[hi]
-		args := make([]term.Value, h.arity())
-		rowStart := len(lg.headRows)
-		for i, isv := range h.IsVar {
-			var id uint32
-			if !isv {
-				args[i] = h.Const[i]
-				cid, idOK := b.in.IDOf(h.Const[i])
-				if !idOK {
-					ok = false
-					break capture
-				}
-				id = cid
-			} else {
-				s := h.Slot[i]
-				if !b.Bound[s] {
-					ok = false // the classic path reproduces the unbound-slot error
-					break capture
-				}
-				if subst == nil && !b.hasVal[s] {
-					// Matched slot: the interned ID is already in hand.
-					id = b.IDs[s]
-					args[i] = b.in.ValueOf(id)
-				} else {
-					v := b.Val(s)
-					if subst != nil {
-						v = subst.Resolve(v)
-					}
-					vid, idOK := b.in.IDOf(v)
-					if !idOK {
-						ok = false // a value no stored fact contains: cannot pre-hash
-						break capture
-					}
-					args[i] = v
-					id = vid
-				}
-			}
-			lg.headRows = append(lg.headRows, id)
-		}
-		lg.headFacts = append(lg.headFacts, ast.Fact{Pred: h.Pred, Args: args})
-		lg.headHash = append(lg.headHash, storage.HashRow(lg.headRows[rowStart:]))
-	}
-	if !ok {
-		// Pad the entry so strides stay aligned; the merge replays it
-		// through Restore+emit.
-		lg.headFacts = lg.headFacts[:baseF]
-		lg.headRows = lg.headRows[:baseR]
-		lg.headHash = lg.headHash[:baseF]
-		for hi := 0; hi < lg.headsN; hi++ {
-			lg.headFacts = append(lg.headFacts, ast.Fact{})
-			lg.headHash = append(lg.headHash, 0)
-		}
-		lg.headRows = append(lg.headRows, make([]uint32, lg.headOff[lg.headsN])...)
-	}
-	lg.headPrep = append(lg.headPrep, ok)
-}
-
-// EntryPrepared reports whether entry i's heads were fully materialized
-// and resolved by CaptureHeads.
-func (lg *BindingLog) EntryPrepared(i int) bool {
-	return lg.headsN > 0 && lg.headPrep[i]
-}
-
-// PreparedHead returns entry i's hi-th head fact with its interned row
-// and duplicate-table hash. Valid only when EntryPrepared(i). The row
-// aliases log storage: valid until the next Reset, never mutated by the
-// caller.
-func (lg *BindingLog) PreparedHead(i, hi int) (ast.Fact, []uint32, uint64) {
-	stride := lg.headOff[lg.headsN]
-	rows := lg.headRows[i*stride:]
-	return lg.headFacts[i*lg.headsN+hi],
-		rows[lg.headOff[hi]:lg.headOff[hi+1]:lg.headOff[hi+1]],
-		lg.headHash[i*lg.headsN+hi]
-}
-
-// ParentsAppend appends entry i's matched parents in ward-first order —
-// what core.Policy.Derive expects — straight from the log, without
-// restoring a Binding. Mirrors WardFirstParentsAppend.
-func (lg *BindingLog) ParentsAppend(cr *CompiledRule, i int, out []*core.FactMeta) []*core.FactMeta {
-	parents := lg.parents[i*lg.npos : (i+1)*lg.npos]
-	if cr.WardPos >= 0 && cr.WardPos < len(parents) {
-		out = append(out, parents[cr.WardPos])
-		for k, p := range parents {
-			if k != cr.WardPos && p != nil {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-	for _, p := range parents {
-		if p != nil {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // CanonicalOrder appends to perm[:0] the entry indexes in canonical
 // admission order: ascending lexicographic comparison of the matched
 // storage rows in body-atom source order. The key depends only on which
@@ -270,15 +118,8 @@ func (lg *BindingLog) CanonicalOrder(perm []int32) []int32 {
 		return perm // ≤1 entry, or a single atom enumerated in row order
 	}
 	rows, np := lg.rows, lg.npos
-	sort.Slice(perm, func(a, b int) bool {
-		ra := rows[int(perm[a])*np : int(perm[a])*np+np]
-		rb := rows[int(perm[b])*np : int(perm[b])*np+np]
-		for k := 0; k < np; k++ {
-			if ra[k] != rb[k] {
-				return ra[k] < rb[k]
-			}
-		}
-		return false
+	slices.SortFunc(perm, func(a, b int32) int {
+		return slices.Compare(rows[int(a)*np:int(a)*np+np], rows[int(b)*np:int(b)*np+np])
 	})
 	return perm
 }

@@ -189,6 +189,27 @@ func TestWardFirstParents(t *testing.T) {
 	}
 }
 
+// TestCanonicalOrder: entries sort by their matched rows, lexicographically
+// in body-atom order, and sorting into a reused perm does not allocate.
+func TestCanonicalOrder(t *testing.T) {
+	lg := &BindingLog{npos: 2}
+	for _, r := range [][2]int32{{3, 1}, {1, 9}, {3, 0}, {1, 2}, {2, 5}, {1, 9}} {
+		lg.rows = append(lg.rows, r[0], r[1])
+		lg.n++
+	}
+	perm := lg.CanonicalOrder(nil)
+	// Entries 1 and 5 have equal keys, so compare keys, not indexes.
+	want := [][2]int32{{1, 2}, {1, 9}, {1, 9}, {2, 5}, {3, 0}, {3, 1}}
+	for k, i := range perm {
+		if got := [2]int32{lg.rows[2*i], lg.rows[2*i+1]}; got != want[k] {
+			t.Fatalf("position %d: key %v, want %v (perm %v)", k, got, want[k], perm)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { perm = lg.CanonicalOrder(perm) }); allocs != 0 {
+		t.Fatalf("CanonicalOrder allocates %.0f times per call", allocs)
+	}
+}
+
 func TestAggStateMSum(t *testing.T) {
 	st := NewAggState("msum", nil)
 	g := []term.Value{term.Int(1)}

@@ -16,11 +16,8 @@ import (
 //
 // Roots of the frozen region are (a) every method of the eval Matcher —
 // the dual-mode matcher whose whole method set runs under Snapshot
-// workers — (b) any function that constructs a Matcher with
-// Snapshot: true or calls the read-only SnapshotLookup probes directly,
-// and (c) the storage prepass's runShard method — the per-shard dedup
-// goroutines of partitioned admission, which probe relation shards
-// concurrently and must stay read-only for the same reason workers must.
+// workers — and (b) any function that constructs a Matcher with
+// Snapshot: true or calls the read-only SnapshotLookup probes directly.
 // The analyzer walks the static call graph from the roots and reports
 // every call edge into a mutating storage method (the sink set below).
 //
@@ -49,8 +46,6 @@ var frozenSinks = map[string]map[string]string{
 		"LookupCount": "storage", "LookupCountIDs": "storage",
 		"PromoteIndex": "storage", "observeRow": "storage",
 		"usage": "storage", "internRow": "storage",
-		"InsertPrepared": "storage", "insertRow": "storage",
-		"SetShards": "storage",
 	},
 	"Database": {
 		"Insert": "storage", "InsertEDB": "storage", "Rel": "storage",
@@ -103,7 +98,7 @@ func runFrozenWrite(pass *Pass) error {
 				}
 				node := &funcNode{decl: fd, pkg: pkg}
 				nodes[fn.FullName()] = node
-				isRoot := isMatcherMethod(fn) || isShardGoroutine(fn)
+				isRoot := isMatcherMethod(fn)
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.CallExpr:
@@ -238,20 +233,6 @@ func isMatcherMethod(fn *types.Func) bool {
 		return false
 	}
 	return isNamedIn(sig.Recv().Type(), "Matcher", "eval")
-}
-
-// isShardGoroutine reports whether fn is the storage prepass's runShard
-// method (or a fixture's) — the body of a shard-local dedup goroutine of
-// partitioned admission, which may probe but never mutate.
-func isShardGoroutine(fn *types.Func) bool {
-	if fn.Name() != "runShard" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return isNamedIn(sig.Recv().Type(), "prepass", "storage")
 }
 
 // snapshotTrueLiteral matches Matcher{..., Snapshot: true, ...}.

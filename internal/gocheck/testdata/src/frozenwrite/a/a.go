@@ -82,30 +82,3 @@ func probeCaller(r *Relation) {
 	_ = r.SnapshotLookupIDs(nil)
 	r.Freeze() // want "Relation.Freeze"
 }
-
-// InsertPrepared is a mutating sink (serial-merge only).
-func (r *Relation) InsertPrepared(row []uint32) bool {
-	r.rows = append(r.rows, row)
-	return true
-}
-
-// ContainsRowHash is the pure concurrent-read probe of partitioned
-// admission (not a sink).
-func (r *Relation) ContainsRowHash(row []uint32, h uint64) bool { return false }
-
-// prepass mirrors the storage prepass: runShard is the body of a
-// shard-local dedup goroutine and roots the frozen region.
-type prepass struct{ rels []*Relation }
-
-// runShard probing is clean; mutating — directly or via a helper — is
-// flagged.
-func (p *prepass) runShard(s int) {
-	for _, r := range p.rels {
-		_ = r.ContainsRowHash(nil, 0)
-	}
-	shardHelper(p.rels[s])
-}
-
-func shardHelper(r *Relation) {
-	r.InsertPrepared(nil) // want "Relation.InsertPrepared"
-}

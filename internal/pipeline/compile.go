@@ -37,15 +37,6 @@ type Compiled struct {
 	// state, so admissions interleave with matching exactly as the serial
 	// semantics prescribe.
 	inline []bool
-	// prepared marks rules eligible for partitioned admission (Options.
-	// Shards > 1): buffered-path rules with plain admission effects — no
-	// aggregate supersession, no EGD unification, no constraint, no
-	// existential instantiation, at least one head — whose candidate heads
-	// can therefore be materialized and hashed at capture time. Unlike the
-	// chase, EGDs elsewhere in the program do not disqualify a rule: within
-	// one firing nothing unifies nulls between capture and merge, so the
-	// capture-time substitution snapshot stays exact.
-	prepared []bool
 
 	// preds maps every predicate of the rewritten program to its arity;
 	// producers maps a predicate (or constraintHub) to the indexes of the
@@ -118,8 +109,6 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 		c.rules = append(c.rules, cr)
 		c.postAgg = append(c.postAgg, pa)
 		c.inline = append(c.inline, inl)
-		c.prepared = append(c.prepared, !inl && cr.Agg == nil && r.EGD == nil &&
-			!r.IsConstraint && len(cr.Exists) == 0 && len(cr.Heads) > 0)
 		switch {
 		case r.IsConstraint, r.EGD != nil:
 			c.producers[constraintHub] = append(c.producers[constraintHub], i)
@@ -143,10 +132,6 @@ func (c *Compiled) NewSession() *Session {
 		bm:     storage.NewBufferManager(c.opts.BufferCapacity),
 		timing: c.opts.PhaseTiming,
 	}
-	if c.opts.Shards > 1 {
-		s.db.SetShards(c.opts.Shards)
-	}
-	s.shards = s.db.Shards()
 	if c.opts.NewPolicy != nil {
 		s.strat = c.opts.NewPolicy(c.res)
 	} else {

@@ -58,17 +58,9 @@ type Options struct {
 	// canonical either way, so reasoning output is byte-identical with the
 	// planner on or off.
 	DisablePlanner bool
-	// Shards sets how many duplicate-table shards each relation keeps and
-	// enables the partitioned admission pre-pass on the buffered
-	// canonical-order path: a firing's candidate heads are pre-interned and
-	// pre-hashed during capture and deduplicated by parallel per-shard
-	// goroutines before the serial merge admits them. Rounded up to a power
-	// of two; 0 or 1 keeps the classic fully-serial replay. Output is
-	// byte-identical for every setting.
-	Shards int
-	// PhaseTiming accumulates the wall-time split between matching, the
-	// dedup pre-pass and admission (Session.PhaseStats). Firings on the
-	// fused inline/short-rule paths count as match time.
+	// PhaseTiming accumulates the wall-time split between matching and
+	// admission (Session.PhaseStats). Firings on the fused
+	// inline/short-rule paths count as match time.
 	PhaseTiming bool
 }
 
@@ -129,17 +121,6 @@ type Session struct {
 	log     eval.BindingLog
 	permBuf []int32
 
-	// Partitioned admission (Options.Shards > 1): the flattened candidate
-	// buffers one firing's captured heads are deduplicated through. The
-	// slices are reused across firings; candInserted marks candidates the
-	// merge actually admitted, which is what validates PrepassDupBatch
-	// verdicts pointing at them.
-	shards       int
-	cands        []storage.PrepassCand
-	candVerdict  []uint8
-	candDupOf    []int32
-	candInserted []bool
-
 	// timing/clock accumulate the phase wall-time split when
 	// Options.PhaseTiming is set.
 	timing bool
@@ -147,9 +128,8 @@ type Session struct {
 }
 
 // phaseClock is the cumulative wall-time split of evaluation phases:
-// match enumeration (fused firings included), the sharded dedup pre-pass,
-// and serial admission.
-type phaseClock struct{ match, prepass, admit time.Duration }
+// match enumeration (fused firings included) and serial admission.
+type phaseClock struct{ match, admit time.Duration }
 
 // now returns the current time when phase timing is on (zero otherwise, so
 // untimed sessions never touch the clock).
@@ -168,15 +148,11 @@ func (s *Session) lap(d *time.Duration, t0 time.Time) {
 }
 
 // PhaseStats reports cumulative wall time spent matching (fused firings
-// included), in the sharded dedup pre-pass, and in serial admission. All
-// zero unless the session was created with Options.PhaseTiming.
-func (s *Session) PhaseStats() (match, prepass, admit time.Duration) {
-	return s.clock.match, s.clock.prepass, s.clock.admit
+// included) and in serial admission. Both zero unless the session was
+// created with Options.PhaseTiming.
+func (s *Session) PhaseStats() (match, admit time.Duration) {
+	return s.clock.match, s.clock.admit
 }
-
-// Shards returns the resolved duplicate-table shard count the session
-// runs with.
-func (s *Session) Shards() int { return s.shards }
 
 // replanStride paces adaptive re-planning: the pipeline has no epoch
 // boundaries, so its statistics generation advances once per stride of
@@ -621,18 +597,11 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 		})
 		return admitted, err
 	}
-	prepared := s.shards > 1 && s.c.prepared[f.idx]
 	lg := &s.log
 	lg.Reset(cr)
-	if prepared {
-		lg.PrepareHeads(cr)
-	}
 	tm := s.now()
 	err := s.mt.MatchPinnedSteps(cr, pos, m, steps, f.binding, func(b *eval.Binding) error {
 		lg.Capture(b)
-		if prepared {
-			lg.CaptureHeads(cr, b, s.subst)
-		}
 		return nil
 	})
 	s.lap(&s.clock.match, tm)
@@ -641,9 +610,6 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 	}
 	perm := lg.CanonicalOrder(s.permBuf)
 	s.permBuf = perm
-	if prepared {
-		return s.mergeFiring(f, lg, perm)
-	}
 	ta := s.now()
 	defer s.lap(&s.clock.admit, ta)
 	admitted := 0
@@ -653,125 +619,6 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 		admitted += n
 		if err != nil {
 			return admitted, err
-		}
-	}
-	return admitted, nil
-}
-
-// mergeFiring admits one firing's captured candidates through partitioned
-// admission: the heads pre-interned and pre-hashed during capture are
-// flattened in canonical (perm, head) order, the sharded pre-pass computes
-// dedup verdicts in parallel (storage.RunPrepass), and the serial merge
-// walks the same order admitting exactly what the classic replay loop
-// would — unprepared entries fall back to Restore+emit, candidates whose
-// relation drifted fall back to the classic admit, everything else takes
-// the O(1) verdict-or-reprobe path. The subst snapshot taken at capture
-// time is still current here: only this rule emits between capture and
-// merge, and prepared rules never unify nulls.
-func (s *Session) mergeFiring(f *ruleFilter, lg *eval.BindingLog, perm []int32) (int, error) {
-	cr := f.cr
-	nh := len(cr.Heads)
-	tp := s.now()
-	s.cands = s.cands[:0]
-	for _, idx := range perm {
-		if !lg.EntryPrepared(int(idx)) {
-			for hi := 0; hi < nh; hi++ {
-				s.cands = append(s.cands, storage.PrepassCand{})
-			}
-			continue
-		}
-		for hi := 0; hi < nh; hi++ {
-			hf, row, h := lg.PreparedHead(int(idx), hi)
-			rel := s.db.Rel(hf.Pred, len(hf.Args))
-			if rel.Arity() != len(row) {
-				s.cands = append(s.cands, storage.PrepassCand{}) // drifted stride: classic admit below
-				continue
-			}
-			s.cands = append(s.cands, storage.PrepassCand{Rel: rel, Row: row, Hash: h, Gen: rel.RetractGen()})
-		}
-	}
-	n := len(s.cands)
-	if cap(s.candVerdict) < n {
-		s.candVerdict = make([]uint8, n)
-		s.candDupOf = make([]int32, n)
-		s.candInserted = make([]bool, n)
-	}
-	s.candVerdict = s.candVerdict[:n]
-	s.candDupOf = s.candDupOf[:n]
-	s.candInserted = s.candInserted[:n]
-	for i := 0; i < n; i++ {
-		s.candVerdict[i] = storage.PrepassUnknown
-		s.candDupOf[i] = -1
-		s.candInserted[i] = false
-	}
-	storage.RunPrepass(s.cands, s.candVerdict, s.candDupOf, s.shards, nil)
-	s.lap(&s.clock.prepass, tp)
-
-	ta := s.now()
-	defer s.lap(&s.clock.admit, ta)
-	admitted := 0
-	for k, idx := range perm {
-		i := int(idx)
-		if !lg.EntryPrepared(i) {
-			lg.Restore(i, s.db.Interner(), f.binding)
-			an, err := s.emit(f, f.binding)
-			admitted += an
-			if err != nil {
-				return admitted, err
-			}
-			continue
-		}
-		var parents []*core.FactMeta
-		for hi := 0; hi < nh; hi++ {
-			ci := k*nh + hi
-			c := &s.cands[ci]
-			if c.Rel == nil || c.Rel.Arity() != len(c.Row) {
-				// Flatten-time or mid-merge arity drift: the row no longer
-				// matches the relation's stride — admit classically.
-				hf, _, _ := lg.PreparedHead(i, hi)
-				if parents == nil {
-					parents = lg.ParentsAppend(cr, i, s.parentsBuf[:0])
-					s.parentsBuf = parents
-				}
-				m, err := s.admit(hf, cr.Rule.ID, parents)
-				if err != nil {
-					return admitted, err
-				}
-				if m != nil {
-					admitted++
-					f.produced++
-				}
-				continue
-			}
-			if c.Rel.RetractGen() == c.Gen {
-				v := s.candVerdict[ci]
-				if v == storage.PrepassDupStored ||
-					(v == storage.PrepassDupBatch && s.candInserted[s.candDupOf[ci]]) {
-					continue
-				}
-			}
-			if c.Rel.ContainsRowHash(c.Row, c.Hash) {
-				continue
-			}
-			hf, _, _ := lg.PreparedHead(i, hi)
-			if parents == nil {
-				parents = lg.ParentsAppend(cr, i, s.parentsBuf[:0])
-				s.parentsBuf = parents
-			}
-			m := s.strat.Derive(hf, cr.Rule.ID, parents)
-			if !s.strat.CheckTermination(m) {
-				continue
-			}
-			if s.derivations >= s.budget {
-				return admitted, fmt.Errorf("%w (%d facts)", ErrBudget, s.derivations)
-			}
-			c.Rel.InsertPrepared(m, c.Row, c.Hash)
-			s.candInserted[ci] = true
-			s.derivations++
-			s.bm.Touch(hf.Pred)
-			s.insertTagTwin(hf)
-			admitted++
-			f.produced++
 		}
 	}
 	return admitted, nil

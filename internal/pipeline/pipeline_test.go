@@ -440,3 +440,76 @@ func factList(fs []ast.Fact) []string {
 	}
 	return out
 }
+
+// fanoutProgram joins three atoms so firings take the buffered
+// canonical-order path, with a fan-out of wide² matches per trigger delta.
+const fanoutProgram = `
+	t(X), a(X,Y), b(Y,Z) -> out(X,Y,Z).
+	out(X,Y,Z), a(X,Y), b(Y,W) -> out2(X,Y,W).
+	@output("out").
+	@output("out2").
+`
+
+func fanoutFacts(wide int) []ast.Fact {
+	var facts []ast.Fact
+	facts = append(facts, ast.NewFact("t", term.String("x")))
+	for y := 0; y < wide; y++ {
+		ys := term.String(fmt.Sprintf("y%03d", y))
+		facts = append(facts, ast.NewFact("a", term.String("x"), ys))
+		for z := 0; z < wide; z++ {
+			facts = append(facts, ast.NewFact("b", ys, term.String(fmt.Sprintf("z%03d", z))))
+		}
+	}
+	return facts
+}
+
+func runTimedPipeline(t *testing.T, src string, edb []ast.Fact) *Session {
+	t.Helper()
+	prog, err := parser.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	s, err := New(prog, Options{PhaseTiming: true})
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
+	if err := s.Run(context.Background(), edb); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return s
+}
+
+// TestPipelineFiringDedup: a firing whose candidates are all stored
+// duplicates admits nothing, and duplicate heads within one firing
+// collapse to one fact.
+func TestPipelineFiringDedup(t *testing.T) {
+	// Two trigger paths derive identical out facts: the second firing's
+	// candidates are all stored duplicates.
+	src := `
+		t(X), a(X,Y), b(Y,Z) -> out(X,Z).
+		u(X), a(X,Y), b(Y,Z) -> out(X,Z).
+		@output("out").
+	`
+	facts := append(fanoutFacts(20), ast.NewFact("u", term.String("x")))
+	s := runTimedPipeline(t, src, facts)
+	want := 20 // out(x, z) for each z; Y collapsed
+	if got := len(s.Output("out")); got != want {
+		t.Fatalf("out facts: %d, want %d", got, want)
+	}
+	if got := s.db.Lookup("out").Len(); got != want {
+		t.Fatalf("stored out rows: %d, want %d", got, want)
+	}
+}
+
+// TestPipelinePhaseTiming: with PhaseTiming on, wall time lands in the
+// phase clocks (fused firings count as match).
+func TestPipelinePhaseTiming(t *testing.T) {
+	s := runTimedPipeline(t, fanoutProgram, fanoutFacts(12))
+	match, admit := s.PhaseStats()
+	if match <= 0 {
+		t.Errorf("no match time recorded: %v", match)
+	}
+	if admit <= 0 {
+		t.Errorf("no admit time recorded: %v", admit)
+	}
+}

@@ -30,7 +30,6 @@ type Database struct {
 	in        *Interner
 	activeDom map[uint32]struct{} // interned IDs of ACDom constants
 	noIndex   bool
-	shards    int    // duplicate-table shards per relation (0 = 1)
 	gen       uint64 // Freeze epochs opened so far (plan-cache keying)
 }
 
@@ -56,25 +55,6 @@ func (db *Database) DisableIndexes() {
 	}
 }
 
-// SetShards sets how many duplicate-table shards every relation (present
-// and future) keeps — the partition count of the parallel admission
-// pre-pass. Rounded up to a power of two. Engines call it once at
-// construction; like all mutation it is single-goroutine.
-func (db *Database) SetShards(n int) {
-	db.shards = ceilPow2(n)
-	for _, name := range db.names {
-		db.rels[name].SetShards(db.shards)
-	}
-}
-
-// Shards returns the per-relation duplicate-table shard count.
-func (db *Database) Shards() int {
-	if db.shards < 1 {
-		return 1
-	}
-	return db.shards
-}
-
 // Rel returns the relation for pred, creating it with the given arity on
 // first use.
 func (db *Database) Rel(pred string, arity int) *Relation {
@@ -82,9 +62,6 @@ func (db *Database) Rel(pred string, arity int) *Relation {
 	if r == nil {
 		r = NewRelationInterned(pred, arity, db.in)
 		r.SetNoIndex(db.noIndex)
-		if db.shards > 1 {
-			r.SetShards(db.shards)
-		}
 		db.rels[pred] = r
 		db.names = append(db.names, pred)
 		sort.Strings(db.names)

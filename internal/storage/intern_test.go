@@ -153,7 +153,16 @@ func TestRelationDuplicateDetectionUnderCollisions(t *testing.T) {
 	if r.Contains(ast.NewFact("p", term.Int(0), term.Int(1))) {
 		t.Fatal("Contains reports a never-stored fact (collision leaked)")
 	}
-	if r.Len() != 50 {
+	// The engines' admit pattern: a Contains miss memoizes the interned
+	// row, and the Insert of a meta wrapping the same fact reuses it.
+	f := ast.NewFact("p", term.Int(100), term.Int(0))
+	if r.Contains(f) {
+		t.Fatal("Contains reports a never-stored fact")
+	}
+	if !r.Insert(&core.FactMeta{Fact: f}) || r.Insert(&core.FactMeta{Fact: f}) {
+		t.Fatal("memoized admit must store the fact exactly once")
+	}
+	if r.Len() != 51 {
 		t.Fatalf("len: %d", r.Len())
 	}
 }

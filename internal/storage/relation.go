@@ -83,20 +83,7 @@ type Relation struct {
 	rows []uint32
 
 	// exact chains row indexes per full-row hash for duplicate detection.
-	// It is sharded by the low bits of the hash (shard = hash & shardMask,
-	// len(exact) a power of two): the partitioned admission pre-pass probes
-	// each shard from its own goroutine, which is safe exactly because a
-	// row's hash fully determines its shard. One shard (the default) is the
-	// unsharded layout with one map.
-	exact     []map[uint64][]int32
-	shardMask uint64
-
-	// retractGen counts retractions. The partitioned admission pre-pass
-	// snapshots it per candidate: a dedup verdict computed against the
-	// pre-batch table is trusted at merge time only while no retraction has
-	// intervened (aggregate supersession on the serial path can retract the
-	// very row a verdict points at).
-	retractGen uint64
+	exact map[uint64][]int32
 
 	// indexes maps a position bitmask to a dynamically built hash index
 	// over those positions. Indexes are created on first lookup and
@@ -182,80 +169,10 @@ func NewRelationInterned(pred string, arity int, in *Interner) *Relation {
 		name:    pred,
 		arity:   arity,
 		in:      in,
-		exact:   make([]map[uint64][]int32, 1),
+		exact:   make(map[uint64][]int32),
 		indexes: make(map[uint32]*dynIndex),
 	}
 }
-
-// exactShard returns the duplicate-table shard owning hash h, possibly
-// nil (shard maps allocate lazily on first write, so sharding a database
-// of many small relations does not cost len(exact) empty maps each).
-// Reads — probes and range — are safe on the nil map.
-func (r *Relation) exactShard(h uint64) map[uint64][]int32 {
-	return r.exact[h&r.shardMask]
-}
-
-// exactShardMut returns the shard owning hash h for writing, allocating
-// it on first use.
-func (r *Relation) exactShardMut(h uint64) map[uint64][]int32 {
-	s := h & r.shardMask
-	if r.exact[s] == nil {
-		r.exact[s] = make(map[uint64][]int32)
-	}
-	return r.exact[s]
-}
-
-// Shards returns the number of duplicate-table shards.
-func (r *Relation) Shards() int { return len(r.exact) }
-
-// SetShards re-buckets the exact-duplicate table into n shards (rounded up
-// to a power of two, minimum 1). Like all mutation it is single-goroutine;
-// engines call it once at construction, before any facts are stored.
-func (r *Relation) SetShards(n int) {
-	n = ceilPow2(n)
-	if n == len(r.exact) {
-		return
-	}
-	shards := make([]map[uint64][]int32, n)
-	mask := uint64(n - 1)
-	for _, old := range r.exact {
-		//vadalint:ordered keyed moves: each hash lands in the one shard its low bits select
-		for h, bucket := range old {
-			s := h & mask
-			if shards[s] == nil {
-				shards[s] = make(map[uint64][]int32)
-			}
-			shards[s][h] = bucket
-		}
-	}
-	r.exact = shards
-	r.shardMask = mask
-}
-
-// ceilPow2 rounds n up to the nearest power of two, minimum 1, capped at
-// 256 (more shards than that buys nothing for a dedup table).
-func ceilPow2(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > 256 {
-		n = 256
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// RetractGen counts retractions performed so far — the merge-time guard
-// for dedup verdicts computed by the partitioned admission pre-pass.
-func (r *Relation) RetractGen() uint64 { return r.retractGen }
-
-// HashRow returns the duplicate-table hash of a fully interned row. It is
-// the hash ContainsRowHash and InsertPrepared expect; exporting the
-// wrapper (not the variable) keeps collision-test overrides effective.
-func HashRow(row []uint32) uint64 { return hashRow(row) }
 
 // Name returns the predicate name.
 func (r *Relation) Name() string { return r.name }
@@ -384,20 +301,12 @@ func (r *Relation) Insert(m *core.FactMeta) bool {
 		h = hashRow(row)
 	}
 	r.prepOK = false
-	return r.insertRow(m, row, h)
-}
-
-// insertRow is the shared admission tail of Insert and InsertPrepared:
-// duplicate probe against the hash's shard, then append to every
-// structure. row must have exactly the relation's arity.
-func (r *Relation) insertRow(m *core.FactMeta, row []uint32, h uint64) bool {
-	for _, ri := range r.exactShard(h)[h] {
+	for _, ri := range r.exact[h] {
 		if r.rowEqual(int(ri), row) {
 			return false
 		}
 	}
-	shard := r.exactShardMut(h)
-	shard[h] = append(shard[h], int32(len(r.metas)))
+	r.exact[h] = append(r.exact[h], int32(len(r.metas)))
 	if r.log != nil {
 		r.log = append(r.log, int32(len(r.metas)))
 	}
@@ -406,35 +315,6 @@ func (r *Relation) insertRow(m *core.FactMeta, row []uint32, h uint64) bool {
 	r.bytes += int64(4*r.arity) + 48
 	r.observeRow(row)
 	return true
-}
-
-// ContainsRowHash reports whether a fact whose interned row is exactly row
-// (stride = the relation's arity; h = HashRow(row)) is stored — the
-// read-only merge-time probe of the partitioned admission path. Unlike
-// Contains it neither interns nor memoizes; callers have already resolved
-// and hashed the row on a match worker.
-func (r *Relation) ContainsRowHash(row []uint32, h uint64) bool {
-	for _, ri := range r.exactShard(h)[h] {
-		if r.rowEqual(int(ri), row) {
-			return true
-		}
-	}
-	return false
-}
-
-// InsertPrepared appends m using a row interned and hashed during the
-// match phase, skipping the serial re-intern/re-hash of Insert. When the
-// relation's arity drifted since the row was prepared (restride by an
-// inconsistent-arity program) it falls back to the classic path. It
-// reports whether the fact was new.
-func (r *Relation) InsertPrepared(m *core.FactMeta, row []uint32, h uint64) bool {
-	if len(row) != r.arity {
-		return r.Insert(m)
-	}
-	// Same crash seam as Insert: fire before any mutation.
-	siteInsert.Hit()
-	r.prepOK = false
-	return r.insertRow(m, row, h)
 }
 
 // ReplaceOutcome reports what Replace did with a superseded row.
@@ -476,7 +356,7 @@ func (r *Relation) Replace(i int, f ast.Fact) ReplaceOutcome {
 		return ReplaceUnchanged
 	}
 	newH := hashRow(newRow)
-	for _, rj := range r.exactShard(newH)[newH] {
+	for _, rj := range r.exact[newH] {
 		if int(rj) != i && r.rowEqual(int(rj), newRow) {
 			r.retract(i)
 			return ReplaceRetracted
@@ -484,11 +364,9 @@ func (r *Relation) Replace(i int, f ast.Fact) ReplaceOutcome {
 	}
 	old := append(r.replBuf[:0], r.Row(i)...)
 	r.replBuf = old
-	oldH := hashRow(old)
-	removeRow(r.exactShard(oldH), oldH, i)
+	removeRow(r.exact, hashRow(old), i)
 	copy(r.rows[i*r.arity:(i+1)*r.arity], newRow)
-	moved := r.exactShardMut(newH)
-	moved[newH] = append(moved[newH], int32(i))
+	r.exact[newH] = append(r.exact[newH], int32(i))
 	//vadalint:ordered each dynamic index is updated independently from its own mask and buckets
 	for _, ix := range r.indexes {
 		if i >= ix.upTo || maskedIDsEqual(old, newRow, ix.mask) {
@@ -517,9 +395,7 @@ func (r *Relation) Replace(i int, f ast.Fact) ReplaceOutcome {
 // retraction is the rare path, so the rebuild cost stays off the hot loop.
 func (r *Relation) retract(i int) {
 	row := r.Row(i)
-	h := hashRow(row)
-	removeRow(r.exactShard(h), h, i)
-	r.retractGen++
+	removeRow(r.exact, hashRow(row), i)
 	//vadalint:ordered each dynamic index drops the row from its own buckets independently
 	for _, ix := range r.indexes {
 		if i < ix.upTo {
@@ -590,7 +466,7 @@ func (r *Relation) FindExact(f ast.Fact) (int, bool) {
 	}
 	r.scratch = row
 	h := hashRow(row)
-	for _, ri := range r.exactShard(h)[h] {
+	for _, ri := range r.exact[h] {
 		if r.rowEqual(int(ri), row) {
 			return int(ri), true
 		}
@@ -620,7 +496,7 @@ func (r *Relation) Contains(f ast.Fact) bool {
 	}
 	r.scratch = row
 	h := hashRow(row)
-	for _, ri := range r.exactShard(h)[h] {
+	for _, ri := range r.exact[h] {
 		if r.rowEqual(int(ri), row) {
 			return true
 		}
@@ -641,7 +517,7 @@ func (r *Relation) restride(arity int) {
 	old, oldStride := r.rows, r.arity
 	r.arity = arity
 	r.rows = make([]uint32, 0, len(r.metas)*arity)
-	r.exact = make([]map[uint64][]int32, len(r.exact))
+	r.exact = make(map[uint64][]int32, len(r.metas))
 	for i := range r.metas {
 		start := len(r.rows)
 		r.rows = append(r.rows, old[i*oldStride:(i+1)*oldStride]...)
@@ -652,8 +528,7 @@ func (r *Relation) restride(arity int) {
 			continue // retracted rows keep their position but no key
 		}
 		h := hashRow(r.rows[start:])
-		sh := r.exactShardMut(h)
-		sh[h] = append(sh[h], int32(i))
+		r.exact[h] = append(r.exact[h], int32(i))
 	}
 	r.indexes = make(map[uint32]*dynIndex)
 	r.scratch = nil

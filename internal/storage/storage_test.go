@@ -303,3 +303,27 @@ func TestRelationReplaceRetractsOnDuplicate(t *testing.T) {
 		t.Errorf("FindExact: idx=%d found=%v", idx, found)
 	}
 }
+
+// TestNullaryFactInsert: inserting a zero-arity fact must not touch the
+// prep memo's &Args[0] (regression: the fast-path guard used to evaluate
+// the address before checking the length) and must dedup like any fact.
+func TestNullaryFactInsert(t *testing.T) {
+	r := NewRelation("flag", 0)
+	if r.Contains(ast.NewFact("flag")) {
+		t.Fatal("empty relation must not contain the nullary fact")
+	}
+	// The Contains→Insert admit pattern with an empty Args slice: the
+	// memo must stay unset and the insert must not panic.
+	if !r.Insert(meta("flag")) {
+		t.Fatal("first nullary insert must succeed")
+	}
+	if r.Insert(meta("flag")) {
+		t.Fatal("duplicate nullary insert must fail")
+	}
+	if !r.Contains(ast.NewFact("flag")) {
+		t.Fatal("contains after insert")
+	}
+	if r.Len() != 1 {
+		t.Fatalf("len: %d", r.Len())
+	}
+}

@@ -83,7 +83,6 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 			DisableSummary:      disableSummary,
 			DisableDynamicIndex: o.DisableDynamicIndex,
 			DisablePlanner:      o.DisablePlanner,
-			Shards:              o.Shards,
 			PhaseTiming:         o.PhaseTiming,
 		})
 		if err != nil {
@@ -100,7 +99,6 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 			DisableDynamicIndex: o.DisableDynamicIndex,
 			DisablePlanner:      o.DisablePlanner,
 			Parallelism:         o.Parallelism,
-			Shards:              o.Shards,
 		})
 		if err != nil {
 			return nil, err

@@ -141,18 +141,10 @@ type Options struct {
 	// database. The streaming pipeline engine is a single-goroutine pull
 	// machine and ignores this option.
 	Parallelism int
-	// Shards sets how many duplicate-table shards each relation keeps —
-	// the partition count of the parallel admission dedup pre-pass. For
-	// the chase engine 0 selects min(GOMAXPROCS, 8); for the pipeline
-	// engine 0 or 1 keeps the classic fully-serial admission. Rounded up
-	// to a power of two. The final database is byte-identical for every
-	// setting (sharding only parallelizes duplicate detection; admission
-	// itself stays serial in canonical order).
-	Shards int
 	// PhaseTiming makes the engines accumulate the wall-time split
-	// between matching, the dedup pre-pass and admission, reported by
-	// Session.PhaseStats (the chase engine always collects it; the flag
-	// enables the pipeline's per-firing clocks).
+	// between matching and admission, reported by Session.PhaseStats
+	// (the chase engine always collects it; the flag enables the
+	// pipeline's per-firing clocks).
 	PhaseTiming bool
 	// Drivers overlays the process-global record-manager registry for
 	// programs compiled with these options: @bind/@qbind driver names
@@ -540,25 +532,19 @@ func (s *Session) StrategyStats() (core.Stats, bool) {
 }
 
 // PhaseStats reports the cumulative wall-time split of the session's
-// evaluation phases: matching, the sharded dedup pre-pass and serial
-// admission. The chase engine always collects it; the pipeline engine
-// only under Options.PhaseTiming (all-zero otherwise, with fused firings
-// counted as match time when enabled).
+// evaluation phases: matching and serial admission. The chase engine
+// always collects it; the pipeline engine only under Options.PhaseTiming
+// (all-zero otherwise, with fused firings counted as match time when
+// enabled). prepass is always 0: admission has no pre-pass phase any
+// more, and the slot stays only so existing callers keep compiling until
+// one stats accessor replaces this one.
 func (s *Session) PhaseStats() (match, prepass, admit time.Duration) {
 	if s.pl != nil {
-		return s.pl.PhaseStats()
+		match, admit = s.pl.PhaseStats()
+	} else {
+		match, admit = s.ch.PhaseStats()
 	}
-	return s.ch.PhaseStats()
-}
-
-// Shards reports the resolved duplicate-table shard count the session's
-// engine runs with (Options.Shards after defaulting and power-of-two
-// rounding).
-func (s *Session) Shards() int {
-	if s.pl != nil {
-		return s.pl.Shards()
-	}
-	return s.ch.Shards()
+	return match, 0, admit
 }
 
 // Reason is the one-shot entry point: compile prog, run it over facts and
