@@ -795,6 +795,41 @@ func BenchmarkScenario_IWarded(b *testing.B) {
 	})
 }
 
+// BenchmarkOutput_IWarded measures the output layer alone: Result.All()
+// (paper Sec. 5 post-processing, default rendered-key order) over every
+// output predicate of one finished iWarded synthB run on the chase. Its
+// allocs/op should track the distinct values in the output, not the
+// number of sort comparisons.
+func BenchmarkOutput_IWarded(b *testing.B) {
+	cfg, ok := iwarded.Scenario("synthB")
+	if !ok {
+		b.Fatal("synthB scenario missing")
+	}
+	cfg.FactsPerRel = max(int(1000*benchScale()*10), 40)
+	g, err := iwarded.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := vadalog.Compile(vadalog.MustParse(g.Source), &vadalog.Options{Engine: vadalog.EngineChase})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := r.Query(context.Background(), g.Facts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var n int
+	for i := 0; i < b.N; i++ {
+		n = 0
+		for _, facts := range res.All() {
+			n += len(facts)
+		}
+	}
+	b.ReportMetric(float64(n), "output-facts")
+}
+
 // BenchmarkStreamingLoad compares the record-manager load paths (PR 5):
 // "eager" materializes the whole CSV into a fact slice before loading
 // (the historical ReadAll path, still available as ReadCSV), "chunked"

@@ -5,6 +5,7 @@ package ast
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -446,39 +447,51 @@ func (f Fact) Key() string {
 // PatternKey returns the canonical pattern of the fact per the paper's
 // pattern-isomorphism: constants are numbered by first occurrence and so
 // are nulls, e.g. P(1,2,x,y) and P(3,4,z,y) share pattern P(c1,c2,n1,n2).
+// Constants are told apart by sameConst.
 func (f Fact) PatternKey() string {
-	var sb strings.Builder
-	sb.WriteString(f.Pred)
-	consts := make(map[term.Value]int)
-	nulls := make(map[int64]int)
+	var cbuf [8]term.Value
+	var nbuf [8]int64
+	consts, nulls := cbuf[:0], nbuf[:0]
+	b := make([]byte, 0, 64)
+	b = append(b, f.Pred...)
 	for _, a := range f.Args {
-		sb.WriteByte('\x00')
+		b = append(b, 0)
+		var n int
 		if a.IsNull() {
-			id, ok := nulls[a.NullID()]
-			if !ok {
-				id = len(nulls) + 1
-				nulls[a.NullID()] = id
-			}
-			sb.WriteByte('n')
-			sb.WriteByte(byte('0' + id%10))
-			if id >= 10 {
-				fmt.Fprintf(&sb, "%d", id/10)
-			}
+			nulls, n = renumber(nulls, a.NullID(), sameNull)
+			b = append(b, 'n')
 		} else {
-			id, ok := consts[a]
-			if !ok {
-				id = len(consts) + 1
-				consts[a] = id
-			}
-			sb.WriteByte('c')
-			sb.WriteByte(byte('0' + id%10))
-			if id >= 10 {
-				fmt.Fprintf(&sb, "%d", id/10)
-			}
+			consts, n = renumber(consts, a, sameConst)
+			b = append(b, 'c')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	return string(b)
+}
+
+// renumber returns the 1-based first-occurrence number of x in seen,
+// appending x when it is new: the canonical renaming of IsoKey and
+// PatternKey. A linear scan beats a map for the few values of one fact.
+func renumber[T any](seen []T, x T, same func(T, T) bool) ([]T, int) {
+	for i, y := range seen {
+		if same(x, y) {
+			return seen, i + 1
 		}
 	}
-	return sb.String()
+	seen = append(seen, x)
+	return seen, len(seen)
 }
+
+// sameConst is constant identity as interned storage defines it: Value
+// equality (so -0 and +0 are one value), except that every NaN is one
+// value too.
+func sameConst(x, y term.Value) bool {
+	return x == y || (isNaN(x) && isNaN(y))
+}
+
+func sameNull(x, y int64) bool { return x == y }
+
+func isNaN(v term.Value) bool { return v.Kind() == term.KindFloat && math.IsNaN(v.FloatVal()) }
 
 // String renders the fact in surface syntax; constants are rendered with
 // SourceString, so the rendering parses back to the same fact.
@@ -498,7 +511,7 @@ func (f Fact) String() string {
 
 // Isomorphic reports whether facts a and b are isomorphic per Sec. 3.1:
 // same predicate, equal constants in the same positions, and a bijection
-// between their labelled nulls.
+// between their labelled nulls. Constants are equal when sameConst.
 func Isomorphic(a, b Fact) bool {
 	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
 		return false
@@ -510,7 +523,7 @@ func Isomorphic(a, b Fact) bool {
 			return false
 		}
 		if !x.IsNull() {
-			if x != y {
+			if !sameConst(x, y) {
 				return false
 			}
 			continue
@@ -539,26 +552,33 @@ func Isomorphic(a, b Fact) bool {
 }
 
 // IsoKey returns a canonical key identifying the fact up to isomorphism of
-// labelled nulls: constants stay as-is, nulls are numbered by first
-// occurrence. Two facts are isomorphic iff their IsoKeys are equal.
+// labelled nulls: constants stay as-is, tagged with their kind, and nulls
+// are numbered by first occurrence. Two facts are isomorphic iff their
+// IsoKeys are equal.
 func (f Fact) IsoKey() string {
-	var sb strings.Builder
-	sb.WriteString(f.Pred)
-	nulls := make(map[int64]int)
+	var nbuf [8]int64
+	nulls := nbuf[:0]
+	b := make([]byte, 0, 64)
+	b = append(b, f.Pred...)
 	for _, a := range f.Args {
-		sb.WriteByte('\x00')
+		b = append(b, 0)
 		if a.IsNull() {
-			id, ok := nulls[a.NullID()]
-			if !ok {
-				id = len(nulls) + 1
-				nulls[a.NullID()] = id
-			}
-			fmt.Fprintf(&sb, "\x02%d", id)
-		} else {
-			sb.WriteString(a.String())
+			var n int
+			nulls, n = renumber(nulls, a.NullID(), sameNull)
+			b = append(b, byte(term.KindNull))
+			b = strconv.AppendInt(b, int64(n), 10)
+			continue
 		}
+		// The kind tag separates equal renderings of distinct constants,
+		// String("d5") and Date(5) or Int(1) and Float(1); -0 renders as
+		// +0 because the two are one constant (sameConst).
+		if a.Kind() == term.KindFloat && a.FloatVal() == 0 {
+			a = term.Float(0)
+		}
+		b = append(b, byte(a.Kind()))
+		b = append(b, a.String()...)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // Binding is an @bind or @qbind annotation attaching a predicate to an

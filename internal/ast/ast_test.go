@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -24,22 +25,29 @@ func TestFactKeys(t *testing.T) {
 }
 
 // TestIsomorphicMatchesIsoKey is the property the strategy relies on:
-// Isomorphic(a,b) iff IsoKey(a) == IsoKey(b).
+// Isomorphic(a,b) iff IsoKey(a) == IsoKey(b). The constants include
+// distinct values with equal renderings (String("d5") and Date(5),
+// Int(1) and Float(1)), both zeros and NaN.
 func TestIsomorphicMatchesIsoKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	consts := []term.Value{
+		term.String("a"), term.String("b"), term.String("d5"), term.Date(5),
+		term.Int(1), term.Float(1), term.String("1"), term.Bool(true),
+		term.Float(0), term.Float(math.Copysign(0, -1)), term.Float(math.NaN()),
+	}
 	genFact := func() Fact {
 		n := 1 + rng.Intn(4)
 		args := make([]term.Value, n)
 		for i := range args {
 			if rng.Intn(2) == 0 {
-				args[i] = term.String(string(rune('a' + rng.Intn(3))))
+				args[i] = consts[rng.Intn(len(consts))]
 			} else {
 				args[i] = term.Null(int64(rng.Intn(3)))
 			}
 		}
 		return Fact{Pred: "p", Args: args}
 	}
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < 20000; i++ {
 		a, b := genFact(), genFact()
 		if len(a.Args) != len(b.Args) {
 			continue
@@ -93,6 +101,15 @@ func TestPatternKey(t *testing.T) {
 	}
 	if f1.PatternKey() == f3.PatternKey() {
 		t.Error("repeated constants change the pattern (paper example)")
+	}
+	// Constants repeat by identity: Int(1) and Float(1) are two
+	// constants, two NaNs one.
+	nan := term.Float(math.NaN())
+	if NewFact("p", term.Int(1), term.Float(1)).PatternKey() != NewFact("p", term.Int(1), term.Int(2)).PatternKey() {
+		t.Error("Int(1) and Float(1) must number as two constants")
+	}
+	if NewFact("p", nan, nan).PatternKey() != NewFact("p", term.Int(5), term.Int(5)).PatternKey() {
+		t.Error("NaNs must number as one constant")
 	}
 }
 

@@ -185,6 +185,32 @@ func TestWardedDeriveKeepsWardTree(t *testing.T) {
 	}
 }
 
+// TestIsoCheckKeepsConstantKinds: p(ν,1.0) is not isomorphic to
+// p(ν',1) — Int(1) and Float(1) are distinct constants that render
+// alike — so the tree check must admit it, while a true isomorph of
+// p(ν',1) in the same warded tree is still cut.
+func TestIsoCheckKeepsConstantKinds(t *testing.T) {
+	res := analyzed(t, `
+		s(X, Y) -> p(N, X).
+		s(X, Y) -> p(N, Y).
+	`)
+	s := NewStrategy(res)
+	nulls := term.NewNullFactory()
+	root := s.NewEDBFact(ast.NewFact("s", term.Int(1), term.Float(1)))
+	derive := func(rule int, c term.Value) *FactMeta {
+		return s.Derive(ast.NewFact("p", nulls.Fresh(), c), rule, []*FactMeta{root})
+	}
+	if !s.CheckTermination(derive(0, term.Int(1))) {
+		t.Fatal("p(ν,1) must be admitted")
+	}
+	if !s.CheckTermination(derive(1, term.Float(1))) {
+		t.Error("p(ν,1.0) is not isomorphic to p(ν',1) and must be admitted")
+	}
+	if s.CheckTermination(derive(0, term.Int(1))) {
+		t.Error("a second p(ν,1) is isomorphic to the first and must be cut")
+	}
+}
+
 func TestEvictTree(t *testing.T) {
 	res := analyzed(t, `
 		p(X, N) -> q(X, N).

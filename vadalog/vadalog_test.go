@@ -2,9 +2,14 @@ package vadalog
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/term"
 )
 
 const controlSrc = `
@@ -271,5 +276,56 @@ func TestDisableRewriting(t *testing.T) {
 	// distinct companies get distinct nulls, so no strong links.
 	if n := len(sess.Output("strongLink")); n != 0 {
 		t.Errorf("unexpected strong links: %d", n)
+	}
+}
+
+// TestOutputOrderTiesIndependentOfInput: values whose renderings tie —
+// String("d5") and Date(5), Int(1) and Float(1) — must still come out
+// in one order, the same on both engines and for any input order.
+func TestOutputOrderTiesIndependentOfInput(t *testing.T) {
+	var facts []Fact
+	for i := int64(0); i < 20; i++ {
+		facts = append(facts,
+			MakeFact("a", Str(fmt.Sprintf("d%d", i)), Int(i)),
+			MakeFact("a", term.Date(i), Int(i)),
+			MakeFact("a", Int(i), Flt(float64(i))),
+			MakeFact("a", Flt(float64(i)), Int(i)))
+	}
+	reversed := slices.Clone(facts)
+	slices.Reverse(reversed)
+	render := func(out []Fact) string {
+		var sb strings.Builder
+		for _, f := range out {
+			for _, v := range f.Args {
+				fmt.Fprintf(&sb, "%s/%s ", v, v.Kind())
+			}
+			sb.WriteByte('\n')
+		}
+		return sb.String()
+	}
+	var want string
+	for _, engine := range []Engine{EnginePipeline, EngineChase} {
+		for _, in := range [][]Fact{facts, reversed} {
+			sess, err := NewSession(MustParse(`a(X,Y) -> q(X,Y).`), &Options{Engine: engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.Load(in...)
+			if err := sess.Run(); err != nil {
+				t.Fatal(err)
+			}
+			got := render(sess.Output("q"))
+			if want == "" {
+				want = got
+				if !strings.Contains(want, "d5/string 5/int \nd5/date 5/int \n") ||
+					!strings.Contains(want, "5/int 5/float \n5/float 5/int \n") {
+					t.Fatalf("ties not broken by kind:\n%s", want)
+				}
+				continue
+			}
+			if got != want {
+				t.Errorf("engine %v: output order depends on input order:\n%s\nwant\n%s", engine, got, want)
+			}
+		}
 	}
 }
