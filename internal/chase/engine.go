@@ -12,6 +12,13 @@
 // canonical (task, match) order. Because matching is read-only and
 // admission order is independent of scheduling, the final database is
 // byte-identical for every worker count.
+//
+// Admission itself — from a candidate binding to a stored fact — is the
+// shared core of internal/admit, which the pipeline engine calls too.
+// This package keeps only the scheduling: tasks, frozen epochs, parallel
+// match, CSE body sharing, the canonical-order replay and the batch
+// requeue. Every fact the core stores is queued as a delta for the next
+// batch.
 package chase
 
 import (
@@ -25,16 +32,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/fault"
-	"repro/internal/lint"
 	"repro/internal/planner"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
-	"repro/internal/term"
 )
 
 // siteMatch guards the parallel match seam: it fires inside matchTask on
@@ -44,12 +50,10 @@ var siteMatch = fault.NewSite("chase.match")
 
 // ErrInconsistent is returned (wrapped) when a negative constraint fires
 // or an EGD equates two distinct constants.
-var ErrInconsistent = errors.New("chase: knowledge base is inconsistent")
+var ErrInconsistent = admit.ErrInconsistent
 
-// ErrBudget is returned when MaxDerivations is exceeded; with the
-// termination strategy enabled this indicates a genuinely enormous answer,
-// with it disabled it is the expected outcome on non-terminating programs.
-var ErrBudget = errors.New("chase: derivation budget exceeded")
+// ErrBudget is returned when MaxDerivations is exceeded.
+var ErrBudget = admit.ErrBudget
 
 // Options configures a reasoning run.
 type Options struct {
@@ -111,13 +115,9 @@ func (r *Result) Output(pred string) []ast.Fact {
 // concurrent use by any number of goroutines, each deriving cheap per-run
 // state with NewEngine.
 type Compiled struct {
+	*admit.Compiled
 	opts Options
-	prog *ast.Program // rewritten program
-	res  *analysis.Result
-	rw   *rewrite.Result
 
-	rules   []*eval.CompiledRule
-	postAgg [][]eval.CCond // conditions depending on the aggregate result
 	// byPred maps predicate -> (rule idx, pos idx) pairs for delta pinning.
 	byPred map[string][][2]int
 	// parSafe marks rules whose matching is free of shared-state writes
@@ -133,8 +133,6 @@ type Compiled struct {
 	groups    []cseGroup
 	groupOf   map[[2]int]int // (rule idx, pinned pos) -> group idx
 	postSteps [][]eval.Step  // per rule: assign/cond replay steps (grouped rules)
-
-	budget int
 }
 
 // cseGroup is one set of rules sharing a positive body (see
@@ -148,57 +146,20 @@ type cseGroup struct {
 // Compile runs rewriting, wardedness analysis and rule compilation on
 // prog and returns the shareable artifact.
 func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
-	rwOpts := rewrite.DefaultOptions()
-	if opts.Rewrite != nil {
-		rwOpts = *opts.Rewrite
-	}
-	rw, err := rewrite.Apply(prog, rwOpts)
+	ac, err := admit.Compile(prog, admit.Config{
+		Engine:              "chase",
+		Rewrite:             opts.Rewrite,
+		DisableSummary:      opts.DisableSummary,
+		MaxDerivations:      opts.MaxDerivations,
+		RequireWarded:       opts.RequireWarded,
+		NewPolicy:           opts.NewPolicy,
+		DisableDynamicIndex: opts.DisableDynamicIndex,
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := analysis.Analyze(rw.Program)
-	if opts.RequireWarded {
-		if err := lint.RequireWarded(res); err != nil {
-			return nil, fmt.Errorf("chase: %w", err)
-		}
-	}
-	// Parse no longer rejects arity drift (the lint layer reports it as
-	// A001); reject it here like the pipeline engine does via Predicates.
-	if _, err := rw.Program.Predicates(); err != nil {
-		return nil, err
-	}
-	c := &Compiled{
-		opts:   opts,
-		prog:   rw.Program,
-		res:    res,
-		rw:     rw,
-		byPred: make(map[string][][2]int),
-		budget: opts.MaxDerivations,
-	}
-	if c.budget <= 0 {
-		c.budget = 10_000_000
-	}
-	for i, r := range rw.Program.Rules {
-		cr, err := eval.Compile(r, res.Rules[i])
-		if err != nil {
-			return nil, err
-		}
-		if len(cr.Pos) == 0 {
-			return nil, fmt.Errorf("chase: rule %d has no positive body atom: %s", r.ID, r.String())
-		}
-		c.rules = append(c.rules, cr)
-		var pa []eval.CCond
-		if cr.Agg != nil {
-			for _, cond := range cr.Conds {
-				for _, d := range cond.Deps {
-					if d == cr.Agg.ResultSlot {
-						pa = append(pa, cond)
-						break
-					}
-				}
-			}
-		}
-		c.postAgg = append(c.postAgg, pa)
+	c := &Compiled{Compiled: ac, opts: opts, byPred: make(map[string][][2]int)}
+	for i, cr := range c.Rules {
 		safe := true
 		for _, asg := range cr.Assigns {
 			if asg.IsSkolem {
@@ -224,14 +185,14 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 // elimination of the paper's execution optimizer.
 func (c *Compiled) buildCSEGroups() {
 	c.groupOf = make(map[[2]int]int)
-	c.postSteps = make([][]eval.Step, len(c.rules))
+	c.postSteps = make([][]eval.Step, len(c.Rules))
 	type cluster struct {
 		leader  int
 		members [][2]int
 	}
 	byKey := make(map[string]*cluster)
 	var order []string // deterministic group numbering (source order)
-	for ri, cr := range c.rules {
+	for ri, cr := range c.Rules {
 		sig, ok := cr.BodySignature()
 		if !ok || !c.parSafe[ri] {
 			continue
@@ -254,41 +215,37 @@ func (c *Compiled) buildCSEGroups() {
 		}
 		gid := len(c.groups)
 		c.groups = append(c.groups, cseGroup{
-			body:    c.rules[cl.leader].BodyMatcher(),
+			body:    c.Rules[cl.leader].BodyMatcher(),
 			pos:     cl.members[0][1],
 			members: cl.members,
 		})
 		for _, m := range cl.members {
 			c.groupOf[m] = gid
 			if c.postSteps[m[0]] == nil {
-				c.postSteps[m[0]] = c.rules[m[0]].PostMatchSteps()
+				c.postSteps[m[0]] = c.Rules[m[0]].PostMatchSteps()
 			}
 		}
 	}
 }
 
 // Program returns the rewritten program the artifact executes.
-func (c *Compiled) Program() *ast.Program { return c.prog }
+func (c *Compiled) Program() *ast.Program { return c.Prog }
 
 // Analysis returns the warded analysis of the rewritten program.
-func (c *Compiled) Analysis() *analysis.Result { return c.res }
+func (c *Compiled) Analysis() *analysis.Result { return c.Res }
 
 // Engine is the per-run state of a single reasoning session over a
 // shared Compiled artifact. Engines are cheap to create and are for use
 // by a single goroutine (the worker goroutines an engine spins up per
 // delta batch are internal); share the Compiled, not the Engine.
 type Engine struct {
-	c     *Compiled
-	db    *storage.Database
-	strat core.Policy
-	mt    *eval.Matcher
-	subst *eval.NullSubst
-
+	c        *Compiled
+	adm      *admit.Admitter
+	db       *storage.Database // adm.DB
+	mt       *eval.Matcher
 	bindings []*eval.Binding
-	aggs     []*eval.AggState
 
 	queue []*core.FactMeta
-	meter *core.Meter
 	// overflow latches a failed worker-side meter reservation for the
 	// current batch; step turns it into a whole-batch abort.
 	overflow atomic.Bool
@@ -333,15 +290,6 @@ type Engine struct {
 	// and the scaling benchmarks: parallel match and serial admission.
 	phaseMatch time.Duration
 	phaseAdmit time.Duration
-
-	// groupBuf/contribBuf/headsBuf/parentsBuf are reused across emissions
-	// so emit allocates no per-match container slices (AggState keys copy
-	// what they keep; stored facts retain only the per-head Args slices,
-	// which stay freshly allocated).
-	groupBuf   []term.Value
-	contribBuf []term.Value
-	headsBuf   []ast.Fact
-	parentsBuf []*core.FactMeta
 }
 
 // task is one scheduled firing: rule ri with its pos-th body atom pinned
@@ -382,22 +330,11 @@ type indexMiss struct {
 // NewEngine derives fresh run-time state (database, interner, strategy,
 // bindings, queue) over the shared compiled artifact.
 func (c *Compiled) NewEngine() *Engine {
-	e := &Engine{
-		c:     c,
-		db:    storage.NewDatabase(),
-		subst: eval.NewNullSubst(),
-		meter: core.NewMeter(c.budget),
-	}
-	if c.opts.NewPolicy != nil {
-		e.strat = c.opts.NewPolicy(c.res)
-	} else {
-		full := core.NewStrategy(c.res)
-		full.DisableSummary = c.opts.DisableSummary
-		e.strat = full
-	}
-	if c.opts.DisableDynamicIndex {
-		e.db.DisableIndexes()
-	}
+	e := &Engine{c: c}
+	// Every stored fact — load, admission, supersession, tag twin — is a
+	// delta for the next batch.
+	e.adm = c.NewAdmitter(func(m *core.FactMeta, _ bool) { e.queue = append(e.queue, m) })
+	e.db = e.adm.DB
 	e.nworkers = c.opts.Parallelism
 	if e.nworkers <= 0 {
 		e.nworkers = runtime.GOMAXPROCS(0)
@@ -408,13 +345,8 @@ func (c *Compiled) NewEngine() *Engine {
 	}
 	e.planSeen = make(map[[2]int][]eval.Step)
 	e.cseSeen = make(map[cseSeenKey]int)
-	for _, cr := range c.rules {
+	for _, cr := range c.Rules {
 		e.bindings = append(e.bindings, eval.NewBinding(cr))
-		if cr.Rule.Aggregate != nil {
-			e.aggs = append(e.aggs, eval.NewAggState(cr.Rule.Aggregate.Func, e.db.Interner()))
-		} else {
-			e.aggs = append(e.aggs, nil)
-		}
 	}
 	return e
 }
@@ -431,17 +363,7 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 }
 
 // LoadFact admits one EDB fact (before or during Run).
-func (e *Engine) LoadFact(f ast.Fact) {
-	rel := e.db.Rel(f.Pred, len(f.Args))
-	if rel.Contains(f) {
-		return
-	}
-	e.db.InsertEDB(f, e.strat)
-	m := rel.At(rel.Len() - 1)
-	e.queue = append(e.queue, m)
-	e.meter.Charge()
-	e.insertTagTwin(f)
-}
+func (e *Engine) LoadFact(f ast.Fact) { e.adm.Load(f) }
 
 // DB exposes the engine's database (record-manager loads, diagnostics).
 func (e *Engine) DB() *storage.Database { return e.db }
@@ -450,40 +372,29 @@ func (e *Engine) DB() *storage.Database { return e.db }
 // point: record managers feed their cursors through it chunk by chunk
 // (duplicates are skipped, so re-feeding after an interrupted load is
 // idempotent). Loaded facts queue as deltas for the next batch drain.
-func (e *Engine) LoadFacts(facts []ast.Fact) {
-	for _, f := range facts {
-		e.LoadFact(f)
-	}
-}
+func (e *Engine) LoadFacts(facts []ast.Fact) { e.adm.Load(facts...) }
 
 // LoadProgramFacts admits the compiled program's inline facts — the same
 // facts Run loads first. It is idempotent; callers streaming bound
 // inputs before Run use it to establish the canonical admission order
 // (program facts, then bound inputs, then staged facts).
-func (e *Engine) LoadProgramFacts() {
-	for _, f := range e.c.prog.Facts {
-		e.LoadFact(f)
-	}
-}
+func (e *Engine) LoadProgramFacts() { e.adm.LoadProgramFacts() }
 
 // LoadChunk is LoadFacts with the load path's crashes converted into a
 // typed error: a panic mid-chunk (storage fault) leaves the prefix
 // admitted and the store consistent, and since loading skips duplicates,
 // re-feeding the same chunk resumes exactly where the crash struck.
-func (e *Engine) LoadChunk(facts []ast.Fact) (err error) {
-	defer func() {
-		if r := recover(); r != nil { //vadalint:panicguard load-path crash isolation: convert storage faults into typed resumable errors
-			err = &core.PanicError{Engine: "chase load", Value: r, Stack: debug.Stack()}
-		}
-	}()
-	e.LoadFacts(facts)
-	return nil
+func (e *Engine) LoadChunk(facts []ast.Fact) error {
+	return e.adm.Guard(func() error {
+		e.adm.Load(facts...)
+		return nil
+	})
 }
 
 // SetBudget replaces the derivation budget for subsequent admissions —
 // how a session resumes after an ErrBudget partial result. Only safe
 // between Run calls (no batch in flight).
-func (e *Engine) SetBudget(n int) { e.meter.SetLimit(n) }
+func (e *Engine) SetBudget(n int) { e.adm.Meter.SetLimit(n) }
 
 // Quiesced reports whether the chase has reached its fixpoint: no delta
 // is waiting in the queue. After an interrupted run it distinguishes "the
@@ -494,44 +405,10 @@ func (e *Engine) Quiesced() bool { return len(e.queue) == 0 }
 // against the engine's current database. Unlike Result.Output it is
 // readable mid-run — what a partial result reports after an interrupted
 // chase.
-func (e *Engine) Output(pred string) []ast.Fact {
-	return eval.ApplyPost(e.db.FactsOf(pred), e.c.prog.Posts, pred, e.subst)
-}
+func (e *Engine) Output(pred string) []ast.Fact { return e.adm.Output(pred) }
 
 // Derivations reports admitted (inserted) facts so far, EDB included.
-func (e *Engine) Derivations() int { return e.meter.Used() }
-
-// insertTagTwin mirrors an admitted fact of a tagged predicate into its
-// tag twin, with labelled nulls replaced by their canonical ground keys
-// (dynamic harmful-join elimination; see rewrite.EliminateHarmfulJoinsDynamic).
-func (e *Engine) insertTagTwin(f ast.Fact) {
-	twin, ok := e.c.rw.TagPreds[f.Pred]
-	if !ok {
-		return
-	}
-	tf := e.tagTwinFact(twin, f)
-	rel := e.db.Rel(twin, len(tf.Args))
-	if rel.Contains(tf) {
-		return
-	}
-	m := e.strat.NewEDBFact(tf)
-	rel.Insert(m)
-	e.queue = append(e.queue, m)
-}
-
-// tagTwinFact renders the tag-twin image of f: labelled nulls replaced by
-// their canonical ground keys.
-func (e *Engine) tagTwinFact(twin string, f ast.Fact) ast.Fact {
-	args := make([]term.Value, len(f.Args))
-	for i, v := range f.Args {
-		if v.IsNull() {
-			args[i] = term.String("\x00" + e.db.Nulls.KeyOf(v))
-		} else {
-			args[i] = v
-		}
-	}
-	return ast.Fact{Pred: twin, Args: args}
-}
+func (e *Engine) Derivations() int { return e.adm.Meter.Used() }
 
 // maxBatchDeltas caps how many delta facts one batch drains: candidate
 // facts are buffered until the serial admit phase, so the cap bounds the
@@ -543,7 +420,7 @@ const maxBatchDeltas = 2048
 // ctx aborts the loop between delta batches (and stops in-flight match
 // workers between tasks).
 func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
-	if err := e.loadGuarded(edb); err != nil {
+	if err := e.adm.LoadGuarded(edb); err != nil {
 		return nil, err
 	}
 	for len(e.queue) > 0 {
@@ -556,28 +433,14 @@ func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
 	}
 	return &Result{
 		DB:          e.db,
-		Program:     e.c.prog,
-		Analysis:    e.c.res,
-		Strategy:    e.strat,
-		Subst:       e.subst,
-		Rewrite:     e.c.rw,
-		Derivations: e.meter.Used(),
-		posts:       e.c.prog.Posts,
+		Program:     e.c.Prog,
+		Analysis:    e.c.Res,
+		Strategy:    e.adm.Strat,
+		Subst:       e.adm.Subst,
+		Rewrite:     e.c.RW,
+		Derivations: e.adm.Meter.Used(),
+		posts:       e.c.Prog.Posts,
 	}, nil
-}
-
-// loadGuarded runs Run's initial loads under the same crash isolation as
-// LoadChunk: both loads skip duplicates, so a resumed Run re-feeding them
-// admits only what the crash cut off.
-func (e *Engine) loadGuarded(edb []ast.Fact) (err error) {
-	defer func() {
-		if r := recover(); r != nil { //vadalint:panicguard load-path crash isolation: convert storage faults into typed resumable errors
-			err = &core.PanicError{Engine: "chase load", Value: r, Stack: debug.Stack()}
-		}
-	}()
-	e.LoadProgramFacts()
-	e.LoadFacts(edb)
-	return nil
 }
 
 // step drains one delta batch: it schedules every (rule, pinned atom,
@@ -627,7 +490,7 @@ func (e *Engine) step(ctx context.Context) (err error) {
 		return nil
 	}
 	requeue := func() {
-		e.meter.ResetPending()
+		e.adm.Meter.ResetPending()
 		e.queue = append(batch, e.queue...)
 	}
 	// Crash isolation for the serial phases (Freeze, planning, admission):
@@ -677,7 +540,7 @@ func (e *Engine) step(ctx context.Context) (err error) {
 		requeue()
 		return err
 	}
-	e.meter.ResetPending()
+	e.adm.Meter.ResetPending()
 	e.promoteMisses()
 	return nil
 }
@@ -698,7 +561,7 @@ func (e *Engine) notePanic(ti int, r any) {
 	if e.panicErr == nil || ti < e.panicTi {
 		e.panicErr = &core.PanicError{
 			Engine: "chase",
-			Rule:   e.c.rules[e.tasks[ti].ri].Rule,
+			Rule:   e.c.Rules[e.tasks[ti].ri].Rule,
 			Value:  r,
 			Stack:  debug.Stack(),
 		}
@@ -731,7 +594,7 @@ func (e *Engine) planBatch() {
 			continue // inline firings keep the static schedule; followers share
 		}
 		key := [2]int{t.ri, t.pos}
-		cr := e.c.rules[t.ri]
+		cr := e.c.Rules[t.ri]
 		if t.lead == ti {
 			key = [2]int{-1 - t.g, t.pos}
 			cr = e.c.groups[t.g].body
@@ -833,7 +696,7 @@ func (e *Engine) matchTask(w *matchWorker, ti int) {
 	if t.lead >= 0 && t.lead != ti {
 		return // follower: replays the leader's shared body log at admit
 	}
-	cr := e.c.rules[t.ri]
+	cr := e.c.Rules[t.ri]
 	b := w.bindings[t.ri]
 	reserve := 1
 	if t.lead == ti {
@@ -850,12 +713,12 @@ func (e *Engine) matchTask(w *matchWorker, ti int) {
 	lg := &e.results[ti]
 	lg.Reset(cr)
 	if err := siteMatch.Check(); err != nil {
-		rule := e.c.rules[t.ri].Rule
+		rule := e.c.Rules[t.ri].Rule
 		lg.Err = fmt.Errorf("chase: %d:%d: rule %d: %w", rule.Line, rule.Col, rule.ID, err)
 		return
 	}
 	if err := w.mt.MatchPinnedSteps(cr, t.pos, t.m, steps, b, func(b *eval.Binding) error {
-		if !e.meter.Reserve(reserve) {
+		if !e.adm.Meter.Reserve(reserve) {
 			e.overflow.Store(true)
 			return errBatchOverflow
 		}
@@ -895,10 +758,18 @@ func (e *Engine) admitBatch(ctx context.Context) error {
 		if t.m.Retracted {
 			continue
 		}
-		cr := e.c.rules[t.ri]
+		cr := e.c.Rules[t.ri]
 		e.firing = cr.Rule // positions a crash recovered by step
-		if !e.c.parSafe[t.ri] {
-			if err := e.fire(t.ri, t.pos, t.m); err != nil {
+		ri := t.ri
+		b := e.bindings[ri]
+		var emit func(b *eval.Binding) error
+		if !e.c.parSafe[ri] || t.g >= 0 {
+			emit = func(b *eval.Binding) error { return e.adm.Emit(ri, b) }
+		}
+		if !e.c.parSafe[ri] {
+			// Matching mints nulls: match and admit fused, on this
+			// goroutine.
+			if err := e.mt.MatchPinned(cr, t.pos, t.m, b, emit); err != nil {
 				return err
 			}
 			continue
@@ -915,23 +786,17 @@ func (e *Engine) admitBatch(ctx context.Context) error {
 			perm = lg.CanonicalOrder(e.perms[ti])
 			e.perms[ti] = perm
 		}
-		b := e.bindings[t.ri]
-		ri := t.ri
-		var replayEmit func(b *eval.Binding) error
-		if t.g >= 0 {
-			replayEmit = func(b *eval.Binding) error { return e.emit(ri, cr, b) }
-		}
 		for _, i := range perm {
 			lg.Restore(int(i), e.db.Interner(), b)
 			if t.g >= 0 {
 				// Group member: the log holds the shared body match; replay
 				// this rule's private assignments and conditions, then emit.
-				if err := e.mt.Replay(cr, e.c.postSteps[ri], b, replayEmit); err != nil {
+				if err := e.mt.Replay(cr, e.c.postSteps[ri], b, emit); err != nil {
 					return err
 				}
 				continue
 			}
-			if err := e.emit(ri, cr, b); err != nil {
+			if err := e.adm.Emit(ri, b); err != nil {
 				return err
 			}
 		}
@@ -954,7 +819,7 @@ func (e *Engine) ensureWorkers(n int) {
 		w.mt.OnIndexMiss = func(pred string, mask uint32) {
 			w.missed = append(w.missed, indexMiss{pred: pred, mask: mask})
 		}
-		for _, cr := range e.c.rules {
+		for _, cr := range e.c.Rules {
 			w.bindings = append(w.bindings, eval.NewBinding(cr))
 		}
 		for gi := range e.c.groups {
@@ -1002,210 +867,7 @@ func (e *Engine) PhaseStats() (match, admit time.Duration) {
 
 // Meter exposes the engine's derivation meter (admission counters, budget
 // usage) for diagnostics and tests.
-func (e *Engine) Meter() *core.Meter { return e.meter }
-
-// fire applies rule ri with its pos-th body atom pinned to delta fact m,
-// matching and emitting fused on the calling goroutine (the serial path
-// for rules whose matching mints nulls).
-func (e *Engine) fire(ri, pos int, m *core.FactMeta) error {
-	cr := e.c.rules[ri]
-	b := e.bindings[ri]
-	return e.mt.MatchPinned(cr, pos, m, b, func(b *eval.Binding) error {
-		return e.emit(ri, cr, b)
-	})
-}
-
-func (e *Engine) emit(ri int, cr *eval.CompiledRule, b *eval.Binding) error {
-	rule := cr.Rule
-	switch {
-	case rule.IsConstraint:
-		return fmt.Errorf("%w: constraint fired: %s", ErrInconsistent, rule.String())
-	case rule.EGD != nil:
-		l := b.Val(cr.VarSlot[rule.EGD.Left])
-		r := b.Val(cr.VarSlot[rule.EGD.Right])
-		if err := e.subst.Unify(l, r); err != nil {
-			return fmt.Errorf("%w: %v (egd %s)", ErrInconsistent, err, rule.String())
-		}
-		return nil
-	}
-	if cr.Agg != nil {
-		// The group/contrib tuples are assembled in engine-owned buffers
-		// reused across firings: AggState keys copy what they retain, so
-		// nothing here escapes the call.
-		group := e.groupBuf[:0]
-		for _, s := range cr.Agg.GroupSlots {
-			group = append(group, b.Val(s))
-		}
-		e.groupBuf = group
-		contrib := e.contribBuf[:0]
-		for _, s := range cr.Agg.ContribSlots {
-			contrib = append(contrib, b.Val(s))
-		}
-		e.contribBuf = contrib
-		var x term.Value
-		if cr.Agg.ArgSlot >= 0 {
-			x = b.Val(cr.Agg.ArgSlot)
-		} else {
-			var err error
-			x, err = cr.Agg.Arg.Eval(b.Env(cr, cr.Agg.ArgDeps))
-			if err != nil {
-				return err
-			}
-		}
-		agg, improved, err := e.aggs[ri].Update(group, contrib, x)
-		if err != nil {
-			return err
-		}
-		if !improved && cr.Agg.SkipSafe {
-			// The group's aggregate did not change and the post-aggregate
-			// conditions depend only on (result, group): this match
-			// evaluates exactly like the one that already emitted, so
-			// there is nothing new to emit. Unsafe rules (conditions over
-			// other body variables, existential heads) fall through to the
-			// full path; supersession makes re-emission idempotent.
-			return nil
-		}
-		b.Set(cr.Agg.ResultSlot, agg)
-		for i := range e.c.postAgg[ri] {
-			c := &e.c.postAgg[ri][i]
-			if c.Fast {
-				if !c.EvalFast(b) {
-					return nil
-				}
-				continue
-			}
-			// The aggregate result reaches the environment through its
-			// slot (set above), so the dependency-restricted env suffices.
-			ok, err := ast.EvalCondition(c.Cond, b.Env(cr, c.Deps))
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
-	}
-	e.mt.InstantiateExistentials(cr, b)
-	heads, err := eval.HeadFactsAppend(cr, b, e.subst, e.headsBuf[:0])
-	e.headsBuf = heads
-	if err != nil {
-		return err
-	}
-	parents := eval.WardFirstParentsAppend(cr, b, e.parentsBuf[:0])
-	e.parentsBuf = parents
-	for hi, hf := range heads {
-		// Existential aggregate heads mint per-binding nulls: each binding
-		// is its own fact, not an improvement of the previous one, so they
-		// take the plain admission path (no supersession).
-		if cr.Agg != nil && len(cr.Exists) == 0 {
-			if err := e.admitAggregate(ri, hi, hf, rule.ID, parents); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := e.admit(hf, rule.ID, parents); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// admitAggregate admits an aggregate-head fact with supersession: when the
-// rule has previously admitted a fact for the current group (and this head
-// index), the improved fact replaces it in place — same FactMeta, same
-// forest roots and provenance — instead of accumulating next to the
-// superseded intermediate. Replacements count against the derivation
-// budget (they are chase steps) and re-enter the queue so dependent rules
-// observe the improved value.
-func (e *Engine) admitAggregate(ri, hi int, f ast.Fact, ruleID int, parents []*core.FactMeta) error {
-	st := e.aggs[ri]
-	prev, ok := st.LastEmitted(hi)
-	if !ok {
-		m, err := e.admit(f, ruleID, parents)
-		if err != nil {
-			return err
-		}
-		if m != nil {
-			rel := e.db.Rel(f.Pred, len(f.Args))
-			st.RecordEmitted(hi, m, rel.Len()-1)
-		}
-		return nil
-	}
-	old := prev.Meta.Fact
-	rel := e.db.Rel(f.Pred, len(f.Args))
-	switch rel.Replace(prev.Row, f) {
-	case storage.ReplaceUnchanged:
-		return nil // e.g. the aggregate result does not occur in the head
-	case storage.ReplaceRetracted:
-		// The improved value already exists as an independently stored
-		// fact; the superseded intermediate was retracted and the group is
-		// represented by that fact. The next improvement starts fresh.
-		st.RecordEmitted(hi, nil, 0)
-		e.noteSuperseded(old)
-		return nil
-	default: // ReplaceDone
-		if !e.meter.TryCharge() {
-			return fmt.Errorf("%w (%d facts)", ErrBudget, e.meter.Used())
-		}
-		e.queue = append(e.queue, prev.Meta)
-		e.noteSuperseded(old)
-		e.replaceTagTwin(old, f)
-		return nil
-	}
-}
-
-// noteSuperseded tells fact-memorizing termination policies that old is no
-// longer stored.
-func (e *Engine) noteSuperseded(old ast.Fact) {
-	if obs, ok := e.strat.(core.SupersessionObserver); ok {
-		obs.NoteSuperseded(old)
-	}
-}
-
-// admit runs the set-semantics duplicate check, the termination strategy,
-// and on success stores the fact and schedules it. It returns the stored
-// metadata, nil when the fact was rejected.
-func (e *Engine) admit(f ast.Fact, ruleID int, parents []*core.FactMeta) (*core.FactMeta, error) {
-	rel := e.db.Rel(f.Pred, len(f.Args))
-	dup := rel.Contains(f)
-	e.meter.NoteCandidate(dup)
-	if dup {
-		return nil, nil
-	}
-	m := e.strat.Derive(f, ruleID, parents)
-	if !e.strat.CheckTermination(m) {
-		return nil, nil
-	}
-	if !e.meter.TryCharge() {
-		return nil, fmt.Errorf("%w (%d facts)", ErrBudget, e.meter.Used())
-	}
-	rel.Insert(m)
-	e.meter.NoteAdmit()
-	e.queue = append(e.queue, m)
-	e.insertTagTwin(f)
-	return m, nil
-}
-
-// replaceTagTwin mirrors an aggregate supersession into the tag twin of a
-// tagged predicate: the twin of the superseded fact is replaced by the
-// twin of the improved one.
-func (e *Engine) replaceTagTwin(old, f ast.Fact) {
-	twin, ok := e.c.rw.TagPreds[f.Pred]
-	if !ok {
-		return
-	}
-	oldTwin := e.tagTwinFact(twin, old)
-	newTwin := e.tagTwinFact(twin, f)
-	rel := e.db.Rel(twin, len(newTwin.Args))
-	idx, found := rel.FindExact(oldTwin)
-	if !found {
-		e.insertTagTwin(f)
-		return
-	}
-	if rel.Replace(idx, newTwin) == storage.ReplaceDone {
-		e.queue = append(e.queue, rel.At(idx))
-	}
-}
+func (e *Engine) Meter() *core.Meter { return e.adm.Meter }
 
 // Run is the convenience one-shot entry point.
 func Run(ctx context.Context, prog *ast.Program, edb []ast.Fact, opts Options) (*Result, error) {

@@ -17,7 +17,7 @@ const (
 )
 
 // Meter is the engines' derivation budget, safe for concurrent use. The
-// serial admission path charges admitted facts exactly (Charge/TryCharge),
+// serial admission path charges admitted facts exactly (Exhausted/Charge),
 // while parallel match workers reserve candidate capacity transiently
 // (Reserve) so a batch of a non-terminating program aborts instead of
 // buffering unbounded candidate facts. Reservations are released wholesale
@@ -52,20 +52,10 @@ func (m *Meter) Used() int { return int(m.used.Load()) }
 // never rejected).
 func (m *Meter) Charge() { m.used.Add(1) }
 
-// TryCharge records one derivation unless the budget is exhausted; it
-// reports whether the charge was accepted. Callers reject the chase step
-// on false.
-func (m *Meter) TryCharge() bool {
-	for {
-		u := m.used.Load()
-		if u >= m.limit {
-			return false
-		}
-		if m.used.CompareAndSwap(u, u+1) {
-			return true
-		}
-	}
-}
+// Exhausted reports whether the budget admits no further derivation.
+// The serial admit path checks it before a candidate reaches the
+// termination policy and charges (Charge) only once the fact is stored.
+func (m *Meter) Exhausted() bool { return m.used.Load() >= m.limit }
 
 // Reserve transiently accounts n candidate facts a match worker is about
 // to buffer; it reports false when charged derivations plus pending

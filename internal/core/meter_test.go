@@ -8,19 +8,22 @@ import (
 func TestMeterCharges(t *testing.T) {
 	m := NewMeter(3)
 	m.Charge() // unconditional (EDB)
-	if !m.TryCharge() || !m.TryCharge() {
-		t.Fatal("charges within budget must succeed")
+	for i := 0; i < 2; i++ {
+		if m.Exhausted() {
+			t.Fatal("budget exhausted before the limit")
+		}
+		m.Charge()
 	}
-	if m.TryCharge() {
-		t.Fatal("charge beyond the budget must fail")
+	if !m.Exhausted() {
+		t.Fatal("budget not exhausted at the limit")
 	}
 	if m.Used() != 3 {
 		t.Fatalf("used: %d", m.Used())
 	}
 	// Unconditional charges may exceed the budget (loads are never
-	// rejected); subsequent TryCharge still fails.
+	// rejected); the budget stays exhausted.
 	m.Charge()
-	if m.Used() != 4 || m.TryCharge() {
+	if m.Used() != 4 || !m.Exhausted() {
 		t.Fatalf("used=%d after overload", m.Used())
 	}
 }

@@ -6,6 +6,11 @@
 // round-robin; runtime invocation cycles are detected and reported as
 // cyclic misses (notifyCycle) distinct from real misses; each filter wraps
 // fact production in a termination-strategy wrapper running Algorithm 1.
+//
+// That wrapper is the admission core of internal/admit, shared with the
+// chase engine. This package keeps only the scheduling: hubs, cursors,
+// pulls, cycle detection, the firing paths and phase timing. Its store
+// hook touches the buffer manager when a rule stores a fact.
 package pipeline
 
 import (
@@ -16,6 +21,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/core"
@@ -24,7 +30,6 @@ import (
 	"repro/internal/planner"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
-	"repro/internal/term"
 )
 
 // siteLoad guards the streaming-load seam: it fires at the head of
@@ -32,11 +37,12 @@ import (
 // nothing the engine has accepted.
 var siteLoad = fault.NewSite("pipeline.load")
 
-// ErrInconsistent mirrors chase.ErrInconsistent for the pipeline engine.
-var ErrInconsistent = errors.New("pipeline: knowledge base is inconsistent")
+// ErrInconsistent is returned (wrapped) when a negative constraint fires
+// or an EGD equates two distinct constants.
+var ErrInconsistent = admit.ErrInconsistent
 
 // ErrBudget is returned when the derivation budget is exceeded.
-var ErrBudget = errors.New("pipeline: derivation budget exceeded")
+var ErrBudget = admit.ErrBudget
 
 // Options configures a pipeline session.
 type Options struct {
@@ -81,12 +87,11 @@ const (
 // and are for use by a single goroutine; share the Compiled, not the
 // Session.
 type Session struct {
-	c     *Compiled
-	db    *storage.Database
-	strat core.Policy
-	mt    *eval.Matcher
-	subst *eval.NullSubst
-	bm    *storage.BufferManager
+	c   *Compiled
+	adm *admit.Admitter
+	db  *storage.Database // adm.DB
+	mt  *eval.Matcher
+	bm  *storage.BufferManager
 
 	filters []*ruleFilter
 	hubs    map[string]*hub
@@ -99,19 +104,8 @@ type Session struct {
 	ctxDone  bool
 	pollTick uint32
 
-	derivations int
-	budget      int
-	failure     error
-	quiesced    bool
-
-	// groupBuf/contribBuf/headsBuf/parentsBuf are reused across emissions
-	// so emit allocates no per-match container slices (AggState keys copy
-	// what they keep; stored facts retain only the per-head Args slices,
-	// which stay freshly allocated).
-	groupBuf   []term.Value
-	contribBuf []term.Value
-	headsBuf   []ast.Fact
-	parentsBuf []*core.FactMeta
+	failure  error
+	quiesced bool
 
 	// pl derives cost-based join schedules from live statistics (nil when
 	// Options.DisablePlanner). log and permBuf buffer one firing's
@@ -170,26 +164,23 @@ func (c sessionCatalog) RelStats(pred string) (storage.RelStats, bool) {
 }
 
 // Gen implements planner.Catalog.
-func (c sessionCatalog) Gen() uint64 { return uint64(c.s.derivations / replanStride) }
+func (c sessionCatalog) Gen() uint64 { return uint64(c.s.adm.Meter.Used() / replanStride) }
 
 // hub is the meeting point of all producers of one predicate: the
 // predicate's buffered relation plus the filters feeding it.
 type hub struct {
-	pred      string
 	rel       *storage.Relation
 	producers []*ruleFilter
 	rr        int
 }
 
-// ruleFilter is one rule's filter node with its termination-strategy
-// wrapper state. cr and postAgg are shared read-only with the Compiled
-// artifact; everything else is per-session.
+// ruleFilter is one rule's filter node; its termination-strategy wrapper
+// is the session's admission core. cr is shared read-only with the
+// Compiled artifact; everything else is per-session.
 type ruleFilter struct {
 	idx     int
 	cr      *eval.CompiledRule
 	binding *eval.Binding
-	agg     *eval.AggState
-	postAgg []eval.CCond
 
 	// cursors[i] counts facts of body atom i's relation already consumed
 	// as deltas.
@@ -201,8 +192,6 @@ type ruleFilter struct {
 	// firings pinned at pos; hints re-apply only when re-planning yields
 	// a new plan, not on every firing.
 	sized []*planner.Plan
-
-	produced int
 }
 
 // New compiles prog and opens a session over it in one step (the
@@ -219,19 +208,19 @@ func New(prog *ast.Program, opts Options) (*Session, error) {
 // Load admits EDB facts into the pipeline's source relations. Loading
 // after the pipeline has quiesced resumes it: new facts can enable new
 // derivations (incremental reasoning).
-func (s *Session) Load(facts ...ast.Fact) {
-	for _, f := range facts {
-		rel := s.db.Rel(f.Pred, len(f.Args))
-		if rel.Contains(f) {
-			continue
-		}
-		s.db.InsertEDB(f, s.strat)
-		s.derivations++
-		s.insertTagTwin(f)
-		if s.hubs[f.Pred] == nil {
-			s.hubs[f.Pred] = &hub{pred: f.Pred, rel: rel}
-		}
-		s.quiesced = false
+func (s *Session) Load(facts ...ast.Fact) { s.adm.Load(facts...) }
+
+// stored is the session's admission store hook. Every stored fact is a new
+// delta, so the pipeline is no longer quiesced; a rule's store touches the
+// relation's buffer segment; loads and tag twins register a hub for
+// predicates the program does not mention.
+func (s *Session) stored(m *core.FactMeta, byRule bool) {
+	s.quiesced = false
+	pred := m.Fact.Pred
+	if byRule {
+		s.bm.Touch(pred)
+	} else if s.hubs[pred] == nil {
+		s.hubs[pred] = &hub{rel: s.db.Rel(pred, len(m.Fact.Args))}
 	}
 }
 
@@ -245,47 +234,14 @@ func (s *Session) Load(facts ...ast.Fact) {
 // A crash mid-chunk (storage fault) is recovered into a typed error with
 // the already-admitted prefix intact, so re-feeding the chunk resumes
 // exactly where the crash struck.
-func (s *Session) LoadChunk(ctx context.Context, facts []ast.Fact) (err error) {
-	defer func() {
-		if r := recover(); r != nil { //vadalint:panicguard load-path crash isolation: convert storage faults into typed resumable errors
-			err = &core.PanicError{Engine: "pipeline load", Value: r, Stack: debug.Stack()}
+func (s *Session) LoadChunk(ctx context.Context, facts []ast.Fact) error {
+	return s.adm.Guard(func() error {
+		if err := siteLoad.Check(); err != nil {
+			return fmt.Errorf("pipeline: load: %w", err)
 		}
-	}()
-	if err := siteLoad.Check(); err != nil {
-		return fmt.Errorf("pipeline: load: %w", err)
-	}
-	s.Load(facts...)
-	return ctx.Err()
-}
-
-func (s *Session) insertTagTwin(f ast.Fact) {
-	twin, ok := s.c.rw.TagPreds[f.Pred]
-	if !ok {
-		return
-	}
-	tf := s.tagTwinFact(twin, f)
-	rel := s.db.Rel(twin, len(tf.Args))
-	if rel.Contains(tf) {
-		return
-	}
-	rel.Insert(s.strat.NewEDBFact(tf))
-	if s.hubs[twin] == nil {
-		s.hubs[twin] = &hub{pred: twin, rel: rel}
-	}
-}
-
-// tagTwinFact renders the tag-twin image of f: labelled nulls replaced by
-// their canonical ground keys.
-func (s *Session) tagTwinFact(twin string, f ast.Fact) ast.Fact {
-	args := make([]term.Value, len(f.Args))
-	for i, v := range f.Args {
-		if v.IsNull() {
-			args[i] = term.String("\x00" + s.db.Nulls.KeyOf(v))
-		} else {
-			args[i] = v
-		}
-	}
-	return ast.Fact{Pred: twin, Args: args}
+		s.Load(facts...)
+		return ctx.Err()
+	})
 }
 
 // Next ensures at least n+1 facts of pred exist, pulling through the
@@ -523,7 +479,9 @@ func (s *Session) fireGuarded(f *ruleFilter, pos int, m *core.FactMeta) (n int, 
 			err = &core.PanicError{Engine: "pipeline", Rule: f.cr.Rule, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return s.fire(f, pos, m)
+	before := s.adm.Meter.Used()
+	err = s.fire(f, pos, m)
+	return s.adm.Meter.Used() - before, err
 }
 
 // clearResumableFailure lifts a latched terminal failure the session can
@@ -541,36 +499,29 @@ func (s *Session) clearResumableFailure() {
 		s.failure = nil
 		return
 	}
-	if errors.Is(s.failure, ErrBudget) && s.derivations < s.budget {
+	if errors.Is(s.failure, ErrBudget) && !s.adm.Meter.Exhausted() {
 		s.failure = nil
 	}
 }
 
 // fire evaluates filter f with body atom pos pinned to delta m, admitting
-// any derived head facts; it returns how many facts were admitted.
+// any derived head facts.
 //
-// Rules marked inline run the legacy path: the static schedule, with each
-// complete match emitted as it is enumerated. Everything else runs the
-// planned path: the (possibly cost-based) schedule enumerates candidates
-// into a binding log against pre-firing state, and the candidates are
-// admitted in canonical order (eval.BindingLog.CanonicalOrder) — the order
-// depends only on which rows matched, so every join order produces
-// byte-identical output.
-func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
+// Inline rules run their static schedule; everything else runs the
+// (possibly cost-based) planned one. Inline rules, and rules with at most
+// one body atom left after pinning, admit each complete match as it is
+// enumerated: an inline rule's enumeration order is part of its result,
+// and a short rule has only one possible join order, so enumeration order
+// is plan-independent (storage row order) and already canonical. Every
+// other rule enumerates candidates into a binding log against pre-firing
+// state and admits them in canonical order
+// (eval.BindingLog.CanonicalOrder) — the order depends only on which rows
+// matched, so every join order produces byte-identical output.
+func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) error {
 	cr := f.cr
-	if s.c.inline[f.idx] {
-		t0 := s.now()
-		defer s.lap(&s.clock.match, t0) // fused: matching and admission interleave
-		admitted := 0
-		err := s.mt.MatchPinned(cr, pos, m, f.binding, func(b *eval.Binding) error {
-			n, err := s.emit(f, b)
-			admitted += n
-			return err
-		})
-		return admitted, err
-	}
+	inline := s.c.inline[f.idx]
 	steps := cr.Schedule(pos)
-	if s.pl != nil {
+	if s.pl != nil && !inline {
 		p := s.pl.PlanFor(cr, pos)
 		steps = p.Steps
 		if f.sized[pos] != p {
@@ -582,20 +533,12 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 			}
 		}
 	}
-	if len(cr.Pos) <= 2 {
-		// At most one body atom remains after pinning, so there is only
-		// one possible join order: enumeration order is plan-independent
-		// (storage row order) and already canonical. Admit inline and
-		// skip the capture/sort/replay round trip.
+	if inline || len(cr.Pos) <= 2 {
 		t0 := s.now()
 		defer s.lap(&s.clock.match, t0) // fused: matching and admission interleave
-		admitted := 0
-		err := s.mt.MatchPinnedSteps(cr, pos, m, steps, f.binding, func(b *eval.Binding) error {
-			n, err := s.emit(f, b)
-			admitted += n
-			return err
+		return s.mt.MatchPinnedSteps(cr, pos, m, steps, f.binding, func(b *eval.Binding) error {
+			return s.adm.Emit(f.idx, b)
 		})
-		return admitted, err
 	}
 	lg := &s.log
 	lg.Reset(cr)
@@ -606,216 +549,19 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 	})
 	s.lap(&s.clock.match, tm)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	perm := lg.CanonicalOrder(s.permBuf)
 	s.permBuf = perm
 	ta := s.now()
 	defer s.lap(&s.clock.admit, ta)
-	admitted := 0
 	for _, idx := range perm {
 		lg.Restore(int(idx), s.db.Interner(), f.binding)
-		n, err := s.emit(f, f.binding)
-		admitted += n
-		if err != nil {
-			return admitted, err
+		if err := s.adm.Emit(f.idx, f.binding); err != nil {
+			return err
 		}
 	}
-	return admitted, nil
-}
-
-func (s *Session) emit(f *ruleFilter, b *eval.Binding) (int, error) {
-	cr := f.cr
-	rule := cr.Rule
-	switch {
-	case rule.IsConstraint:
-		return 0, fmt.Errorf("%w: constraint fired: %s", ErrInconsistent, rule.String())
-	case rule.EGD != nil:
-		l := b.Val(cr.VarSlot[rule.EGD.Left])
-		r := b.Val(cr.VarSlot[rule.EGD.Right])
-		if err := s.subst.Unify(l, r); err != nil {
-			return 0, fmt.Errorf("%w: %v (egd %s)", ErrInconsistent, err, rule.String())
-		}
-		return 0, nil
-	}
-	if cr.Agg != nil {
-		// Group/contrib tuples live in session-owned buffers reused across
-		// firings: AggState keys copy what they retain, so nothing escapes.
-		group := s.groupBuf[:0]
-		for _, sl := range cr.Agg.GroupSlots {
-			group = append(group, b.Val(sl))
-		}
-		s.groupBuf = group
-		contrib := s.contribBuf[:0]
-		for _, sl := range cr.Agg.ContribSlots {
-			contrib = append(contrib, b.Val(sl))
-		}
-		s.contribBuf = contrib
-		var x term.Value
-		if cr.Agg.ArgSlot >= 0 {
-			x = b.Val(cr.Agg.ArgSlot)
-		} else {
-			var err error
-			x, err = cr.Agg.Arg.Eval(b.Env(cr, cr.Agg.ArgDeps))
-			if err != nil {
-				return 0, err
-			}
-		}
-		agg, improved, err := f.agg.Update(group, contrib, x)
-		if err != nil {
-			return 0, err
-		}
-		if !improved && cr.Agg.SkipSafe {
-			// The group's aggregate did not change and the post-aggregate
-			// conditions depend only on (result, group): this match
-			// evaluates exactly like the one that already emitted, so
-			// there is nothing new to emit. Unsafe rules (conditions over
-			// other body variables, existential heads) fall through to the
-			// full path; supersession makes re-emission idempotent.
-			return 0, nil
-		}
-		b.Set(cr.Agg.ResultSlot, agg)
-		for i := range f.postAgg {
-			c := &f.postAgg[i]
-			if c.Fast {
-				if !c.EvalFast(b) {
-					return 0, nil
-				}
-				continue
-			}
-			// The aggregate result reaches the environment through its slot
-			// (set above), so the dependency-restricted env suffices.
-			ok, err := ast.EvalCondition(c.Cond, b.Env(cr, c.Deps))
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				return 0, nil
-			}
-		}
-	}
-	s.mt.InstantiateExistentials(cr, b)
-	heads, err := eval.HeadFactsAppend(cr, b, s.subst, s.headsBuf[:0])
-	s.headsBuf = heads
-	if err != nil {
-		return 0, err
-	}
-	parents := eval.WardFirstParentsAppend(cr, b, s.parentsBuf[:0])
-	s.parentsBuf = parents
-	admitted := 0
-	for hi, hf := range heads {
-		// Existential aggregate heads mint per-binding nulls: each binding
-		// is its own fact, not an improvement of the previous one, so they
-		// take the plain admission path (no supersession).
-		if cr.Agg != nil && len(cr.Exists) == 0 {
-			n, err := s.admitAggregate(f, hi, hf, rule.ID, parents)
-			admitted += n
-			f.produced += n
-			if err != nil {
-				return admitted, err
-			}
-			continue
-		}
-		m, err := s.admit(hf, rule.ID, parents)
-		if err != nil {
-			return admitted, err
-		}
-		if m != nil {
-			admitted++
-			f.produced++
-		}
-	}
-	return admitted, nil
-}
-
-// admitAggregate admits an aggregate-head fact with supersession, the
-// pipeline counterpart of the chase engine's: an improving group replaces
-// the fact the filter previously admitted for it in place. The relation's
-// delta log re-delivers the replaced row, so downstream filters observe
-// the improved value as a fresh delta while their cursors stay put.
-// Replacements count as produced facts (step progress) and against the
-// derivation budget.
-func (s *Session) admitAggregate(f *ruleFilter, hi int, hf ast.Fact, ruleID int, parents []*core.FactMeta) (int, error) {
-	prev, ok := f.agg.LastEmitted(hi)
-	if !ok {
-		m, err := s.admit(hf, ruleID, parents)
-		if err != nil {
-			return 0, err
-		}
-		if m == nil {
-			return 0, nil
-		}
-		rel := s.db.Rel(hf.Pred, len(hf.Args))
-		f.agg.RecordEmitted(hi, m, rel.Len()-1)
-		return 1, nil
-	}
-	old := prev.Meta.Fact
-	rel := s.db.Rel(hf.Pred, len(hf.Args))
-	switch rel.Replace(prev.Row, hf) {
-	case storage.ReplaceUnchanged:
-		return 0, nil // e.g. the aggregate result does not occur in the head
-	case storage.ReplaceRetracted:
-		// The improved value already exists as an independently stored
-		// fact; the superseded intermediate was retracted. The next
-		// improvement starts fresh.
-		f.agg.RecordEmitted(hi, nil, 0)
-		s.noteSuperseded(old)
-		return 0, nil
-	default: // ReplaceDone
-		if s.derivations >= s.budget {
-			return 0, fmt.Errorf("%w (%d facts)", ErrBudget, s.derivations)
-		}
-		s.derivations++
-		s.bm.Touch(hf.Pred)
-		s.noteSuperseded(old)
-		s.replaceTagTwin(old, hf)
-		return 1, nil
-	}
-}
-
-// noteSuperseded tells fact-memorizing termination policies that old is no
-// longer stored.
-func (s *Session) noteSuperseded(old ast.Fact) {
-	if obs, ok := s.strat.(core.SupersessionObserver); ok {
-		obs.NoteSuperseded(old)
-	}
-}
-
-func (s *Session) admit(hf ast.Fact, ruleID int, parents []*core.FactMeta) (*core.FactMeta, error) {
-	rel := s.db.Rel(hf.Pred, len(hf.Args))
-	if rel.Contains(hf) {
-		return nil, nil
-	}
-	m := s.strat.Derive(hf, ruleID, parents)
-	if !s.strat.CheckTermination(m) {
-		return nil, nil
-	}
-	if s.derivations >= s.budget {
-		return nil, fmt.Errorf("%w (%d facts)", ErrBudget, s.derivations)
-	}
-	rel.Insert(m)
-	s.derivations++
-	s.bm.Touch(hf.Pred)
-	s.insertTagTwin(hf)
-	return m, nil
-}
-
-// replaceTagTwin mirrors an aggregate supersession into the tag twin of a
-// tagged predicate.
-func (s *Session) replaceTagTwin(old, hf ast.Fact) {
-	twin, ok := s.c.rw.TagPreds[hf.Pred]
-	if !ok {
-		return
-	}
-	oldTwin := s.tagTwinFact(twin, old)
-	newTwin := s.tagTwinFact(twin, hf)
-	rel := s.db.Rel(twin, len(newTwin.Args))
-	idx, found := rel.FindExact(oldTwin)
-	if !found {
-		s.insertTagTwin(hf)
-		return
-	}
-	rel.Replace(idx, newTwin)
+	return nil
 }
 
 // Drain materializes the complete reasoning result (all output predicates
@@ -826,12 +572,12 @@ func (s *Session) Drain(ctx context.Context) error {
 	s.clearResumableFailure()
 	// Drive every output hub to exhaustion; if the program declares no
 	// outputs, drive every IDB predicate (universal tuple inference).
-	targets := make([]string, 0, len(s.c.prog.Outputs))
-	for pred := range s.c.prog.Outputs {
+	targets := make([]string, 0, len(s.c.Prog.Outputs))
+	for pred := range s.c.Prog.Outputs {
 		targets = append(targets, pred)
 	}
 	if len(targets) == 0 {
-		for pred := range s.c.prog.IDBPreds() {
+		for pred := range s.c.Prog.IDBPreds() {
 			targets = append(targets, pred)
 		}
 	}
@@ -867,40 +613,20 @@ func (s *Session) Drain(ctx context.Context) error {
 // LoadProgramFacts admits the program's inline fact literals — the same
 // facts Run loads before the EDB. Streaming callers that drive Next
 // directly (bypassing Run) must call it once before pulling.
-func (s *Session) LoadProgramFacts() {
-	for _, f := range s.c.prog.Facts {
-		s.Load(f)
-	}
-}
+func (s *Session) LoadProgramFacts() { s.adm.LoadProgramFacts() }
 
 // Run loads facts, drains the pipeline and returns the materialized
 // result. Cancelling ctx aborts the fixpoint between rule firings.
 func (s *Session) Run(ctx context.Context, edb []ast.Fact) error {
-	if err := s.loadGuarded(edb); err != nil {
+	if err := s.adm.LoadGuarded(edb); err != nil {
 		return err
 	}
 	return s.Drain(ctx)
 }
 
-// loadGuarded runs Run's initial loads under the same crash isolation as
-// LoadChunk: loading skips duplicates, so a resumed Run re-feeding the
-// same facts admits only what the crash cut off.
-func (s *Session) loadGuarded(edb []ast.Fact) (err error) {
-	defer func() {
-		if r := recover(); r != nil { //vadalint:panicguard load-path crash isolation: convert storage faults into typed resumable errors
-			err = &core.PanicError{Engine: "pipeline load", Value: r, Stack: debug.Stack()}
-		}
-	}()
-	s.LoadProgramFacts()
-	s.Load(edb...)
-	return nil
-}
-
 // Output returns pred's facts with @post directives applied, like
 // chase.Result.Output.
-func (s *Session) Output(pred string) []ast.Fact {
-	return eval.ApplyPost(s.db.FactsOf(pred), s.c.prog.Posts, pred, s.subst)
-}
+func (s *Session) Output(pred string) []ast.Fact { return s.adm.Output(pred) }
 
 // DB exposes the session's database (benchmarks, diagnostics).
 func (s *Session) DB() *storage.Database { return s.db }
@@ -910,18 +636,18 @@ func (s *Session) DB() *storage.Database { return s.db }
 func (s *Session) Planner() *planner.Planner { return s.pl }
 
 // Strategy exposes the termination policy for its statistics.
-func (s *Session) Strategy() core.Policy { return s.strat }
+func (s *Session) Strategy() core.Policy { return s.adm.Strat }
 
 // Buffer exposes the buffer manager for its statistics.
 func (s *Session) Buffer() *storage.BufferManager { return s.bm }
 
 // Derivations reports the number of admitted facts.
-func (s *Session) Derivations() int { return s.derivations }
+func (s *Session) Derivations() int { return s.adm.Meter.Used() }
 
 // SetBudget replaces the derivation budget for subsequent admissions —
 // how a session resumes after an ErrBudget partial result (the latched
 // budget failure clears on the next drive once the budget allows more).
-func (s *Session) SetBudget(n int) { s.budget = n }
+func (s *Session) SetBudget(n int) { s.adm.Meter.SetLimit(n) }
 
 // Quiesced reports whether the pipeline has reached its fixpoint: no
 // failure is latched and no filter has unconsumed deltas. After an
@@ -930,10 +656,10 @@ func (s *Session) SetBudget(n int) { s.budget = n }
 func (s *Session) Quiesced() bool { return s.failure == nil && s.allQuiesced() }
 
 // Program returns the rewritten program the session executes.
-func (s *Session) Program() *ast.Program { return s.c.prog }
+func (s *Session) Program() *ast.Program { return s.c.Prog }
 
 // Analysis returns the warded analysis of the executed program.
-func (s *Session) Analysis() *analysis.Result { return s.c.res }
+func (s *Session) Analysis() *analysis.Result { return s.c.Res }
 
 // Compiled returns the shared compile-time artifact backing the session.
 func (s *Session) Compiled() *Compiled { return s.c }

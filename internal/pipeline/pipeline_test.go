@@ -119,8 +119,9 @@ func TestPipelineInconsistency(t *testing.T) {
 }
 
 // crossValidate runs both engines on the same program and EDB and compares
-// the ground (certain) answers of the given predicates.
-func crossValidate(t *testing.T, src string, edb []ast.Fact, preds ...string) {
+// the ground (certain) answers of the given predicates. rows pins the
+// exact fact count of predicates on both engines.
+func crossValidate(t *testing.T, src string, edb []ast.Fact, rows map[string]int, preds ...string) {
 	t.Helper()
 	prog1 := parser.MustParse(src)
 	ch, err := chase.Run(context.Background(), prog1, edb, chase.Options{})
@@ -134,6 +135,14 @@ func crossValidate(t *testing.T, src string, edb []ast.Fact, preds ...string) {
 	}
 	if err := pl.Run(context.Background(), edb); err != nil {
 		t.Fatalf("pipeline run: %v", err)
+	}
+	for pred, n := range rows {
+		if got := len(ch.Output(pred)); got != n {
+			t.Errorf("%s: chase has %d facts, want %d", pred, got, n)
+		}
+		if got := len(pl.Output(pred)); got != n {
+			t.Errorf("%s: pipeline has %d facts, want %d", pred, got, n)
+		}
 	}
 	for _, pred := range preds {
 		a := groundSet(ch.Output(pred))
@@ -170,6 +179,7 @@ func TestCrossValidationSuite(t *testing.T) {
 		src   string
 		edb   []ast.Fact
 		preds []string
+		rows  map[string]int
 	}{
 		{
 			name: "transitive closure",
@@ -253,10 +263,32 @@ func TestCrossValidationSuite(t *testing.T) {
 			},
 			preds: []string{"strongLink"},
 		},
+		{
+			// score is tagged (its null P meets psc's in a harmful join), so
+			// each msum improvement supersedes both the score fact and its
+			// tag twin in place: one row per group survives in each.
+			name: "aggregate supersession on a tagged predicate",
+			src: `
+				company(X) -> psc(X,P).
+				psc(X,P), w(X,V), S = msum(V,<X>) -> score(P,S).
+				score(P,S), psc(Y,P) -> linked(Y,S).
+			`,
+			edb: []ast.Fact{
+				ast.NewFact("company", term.String("a")),
+				ast.NewFact("company", term.String("b")),
+				ast.NewFact("w", term.String("a"), term.Float(0.2)),
+				ast.NewFact("w", term.String("a"), term.Float(0.5)),
+				ast.NewFact("w", term.String("a"), term.Float(0.3)),
+				ast.NewFact("w", term.String("a"), term.Float(0.9)),
+				ast.NewFact("w", term.String("b"), term.Float(0.4)),
+			},
+			preds: []string{"linked", "score__tag"},
+			rows:  map[string]int{"score": 2, "score__tag": 2, "linked": 2},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			crossValidate(t, tc.src, tc.edb, tc.preds...)
+			crossValidate(t, tc.src, tc.edb, tc.rows, tc.preds...)
 		})
 	}
 }

@@ -32,7 +32,7 @@ func sessionBytes(s *Session) string {
 			sb.WriteByte('\n')
 		}
 	}
-	fmt.Fprintf(&sb, "derivations=%d nulls=%d\n", s.derivations, s.db.Nulls.Count())
+	fmt.Fprintf(&sb, "derivations=%d nulls=%d\n", s.Derivations(), s.db.Nulls.Count())
 	return sb.String()
 }
 

@@ -38,6 +38,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/baseline"
@@ -334,9 +335,9 @@ func (s *Session) RunContext(ctx context.Context) error {
 
 func mapErr(err error) error {
 	switch {
-	case errors.Is(err, pipeline.ErrInconsistent), errors.Is(err, chase.ErrInconsistent):
+	case errors.Is(err, admit.ErrInconsistent):
 		return fmt.Errorf("%w: %v", ErrInconsistent, err)
-	case errors.Is(err, pipeline.ErrBudget), errors.Is(err, chase.ErrBudget):
+	case errors.Is(err, admit.ErrBudget):
 		return fmt.Errorf("%w: %v", ErrBudget, err)
 	default:
 		return err

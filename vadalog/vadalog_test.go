@@ -47,7 +47,9 @@ func TestReasonOneShot(t *testing.T) {
 }
 
 func TestEnginesAgree(t *testing.T) {
-	for _, engine := range []Engine{EnginePipeline, EngineChase} {
+	var outs [2]string
+	var derivs [2]int
+	for i, engine := range []Engine{EnginePipeline, EngineChase} {
 		prog := MustParse(controlSrc)
 		sess, err := NewSession(prog, &Options{Engine: engine})
 		if err != nil {
@@ -57,12 +59,15 @@ func TestEnginesAgree(t *testing.T) {
 		if err := sess.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(sess.Output("control")); n == 0 {
-			t.Errorf("engine %v: empty output", engine)
-		}
-		if sess.Derivations() == 0 {
-			t.Errorf("engine %v: no derivations", engine)
-		}
+		outs[i] = fmt.Sprint(sess.Output("control"))
+		derivs[i] = sess.Derivations()
+	}
+	if want := "[control(a,b) control(a,c) control(a,d)]"; outs[0] != want {
+		t.Errorf("pipeline control = %s, want %s", outs[0], want)
+	}
+	if outs[0] != outs[1] || derivs[0] != derivs[1] {
+		t.Errorf("engines disagree: pipeline %s (%d derivations), chase %s (%d derivations)",
+			outs[0], derivs[0], outs[1], derivs[1])
 	}
 }
 
